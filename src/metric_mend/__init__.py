@@ -68,6 +68,15 @@ from .solver import (
 
 __version__ = "0.1.0"
 
+
+def __getattr__(name):
+    # run_pipeline lives in cli; importing cli lazily keeps `python -m metric_mend.cli` clean
+    if name == "run_pipeline":
+        from .cli import run_pipeline
+        return run_pipeline
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 __all__ = [
     "BudgetExceededError",
     "CountReport",
@@ -113,6 +122,7 @@ __all__ = [
     "multicut_to_gmvid",
     "parse_instance",
     "repair_weights",
+    "run_pipeline",
     "serialize_instance",
     "solve_decrease_only",
     "split_cover",

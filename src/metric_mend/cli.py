@@ -3,7 +3,7 @@
 Every command re-verifies its own output before reporting success, and
 reports are emitted either as human-readable text or as JSON (``--format
 machine``).  Exit codes: 0 verified success, 1 negative verdict, 2 input
-error, 3 internal inconsistency (a mathematically guaranteed invariant failed).
+error (a file, a parameter or an oracle budget), 3 any internal failure.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,13 +22,12 @@ from .core import (
     Edge,
     Graph,
     InstanceFormatError,
-    InternalConsistencyError,
-    _significant_lines,
+    Weight,
     all_pairs_shortest_paths,
-    canonical_edge,
     format_weight,
     graph_deficit,
     is_metric,
+    parse_cover,
     parse_instance,
     serialize_instance,
     validate_cover,
@@ -41,7 +41,7 @@ from .oracle import (
     enumerate_unbalanced_cycles,
     exact_min_cover,
 )
-from .repair import lift_zero_edges, repair_weights, split_cover
+from .repair import SplitCover, lift_zero_edges, repair_weights, split_cover
 from .solver import ProblemKind, Role, greedy_solve, solve_decrease_only
 
 EXIT_OK = 0
@@ -54,18 +54,9 @@ def _read_text(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def parse_cover_file(text: str) -> list[Edge]:
-    """Cover files list one edge 'u v' per line; '#' starts a comment."""
-    edges: list[Edge] = []
-    for lineno, line in _significant_lines(text):
-        parts = line.split()
-        if len(parts) != 2:
-            raise InstanceFormatError(f"expected 'u v', got {line!r}", lineno)
-        try:
-            edges.append(canonical_edge(int(parts[0]), int(parts[1])))
-        except ValueError:
-            raise InstanceFormatError(f"expected 'u v', got {line!r}", lineno) from None
-    return edges
+def _oracle_budget(args) -> WorkBudget:
+    """``--oracle-budget`` when given, 0 meaning no oracle work; else the default."""
+    return default_budget() if args.oracle_budget is None else WorkBudget(args.oracle_budget)
 
 
 def _edge_json(e: Edge) -> list[int]:
@@ -92,9 +83,10 @@ def _emit_text(report: dict, indent: str = "") -> None:
             print(f"{indent}{key}: {value}")
 
 
-def _instance_summary(g: Graph, path: str | None = None) -> dict:
-    tables = all_pairs_shortest_paths(g, counts=False)
-    deficit = graph_deficit(g, tables)
+def _instance_summary(g: Graph, path: str | None = None,
+                      deficit: Weight | None = None) -> dict:
+    if deficit is None:
+        deficit = graph_deficit(g, all_pairs_shortest_paths(g, counts=False))
     summary = {
         "n": g.n,
         "m": g.m,
@@ -106,9 +98,80 @@ def _instance_summary(g: Graph, path: str | None = None) -> dict:
     return summary
 
 
-def _verify_solution(g: Graph, kind: ProblemKind, edges,
-                     adjusted: Graph | None, final: Graph | None,
-                     roles_by_edge: dict[Edge, Role]) -> dict:
+@dataclass(frozen=True)
+class PipelineResult:
+    """Everything one solve -> split -> repair -> lift -> verify run produces."""
+
+    cover: tuple[Edge, ...]
+    roles: tuple[Role, ...]
+    layer_deficits: tuple[Weight, ...]
+    split: SplitCover | None        # gmvd with repair only
+    final: Graph | None             # the repaired graph, None without repair
+    steps: int                      # repair moves
+    changed: dict[Edge, tuple[Weight, Weight]]  # edge -> (input weight, final weight)
+    unresolved_zeros: tuple[Edge, ...]
+    deficit: Weight                 # the input graph's maximum cycle deficit
+    verdicts: dict[str, bool]
+    timings: dict[str, float]
+
+
+def run_pipeline(g: Graph, kind: ProblemKind, *, repair: bool) -> PipelineResult:
+    """Solve, then with ``repair`` split, repair and lift, then verify.
+
+    gmvd and gmvid use the greedy cover, whose first layer is the input's
+    deficit; gmvdd uses one distance table to pick the exact cover, repair
+    it and report the deficit.  The verdicts are recomputed from the
+    outputs themselves.
+    """
+    t0 = time.perf_counter()
+    if kind is ProblemKind.GMVDD:
+        tables = all_pairs_shortest_paths(g, counts=False)
+        cover = tuple(sorted(solve_decrease_only(g, tables)))
+        roles = (Role.DECREASE,) * len(cover)
+        layers: tuple = ()
+        deficit = graph_deficit(g, tables)
+    else:
+        solution = greedy_solve(g, kind)
+        cover, roles, layers = solution.edges, solution.roles, solution.layer_deficits
+        deficit = layers[0] if layers else Fraction(0)
+    t1 = time.perf_counter()
+
+    split = adjusted = final = None
+    steps = 0
+    unresolved: tuple[Edge, ...] = ()
+    if repair:
+        if kind is ProblemKind.GMVDD:
+            chosen = set(cover)
+            adjusted = final = Graph(g.n, [(u, v, tables.dist(u, v) if (u, v) in chosen else w)
+                                           for (u, v), w in g.edge_items()])
+            steps = len(cover)
+        else:
+            if kind is ProblemKind.GMVD:
+                split = split_cover(g, cover)
+                roles = tuple(Role.INCREASE if e in split.s_plus else Role.DECREASE
+                              for e in cover)
+                outcome = repair_weights(g, split, kind)
+            else:
+                outcome = repair_weights(g, cover, kind)
+            adjusted = outcome.graph
+            lifted = lift_zero_edges(adjusted)
+            final, steps = lifted.graph, outcome.steps
+            unresolved = tuple(sorted(lifted.unresolved))
+    changed = {} if final is None else {
+        e: (w, final.weight(*e)) for e, w in g.edge_items() if final.weight(*e) != w}
+    t2 = time.perf_counter()
+
+    verdicts = _verdicts(g, kind, cover, roles, adjusted, final)
+    t3 = time.perf_counter()
+    return PipelineResult(cover=cover, roles=roles, layer_deficits=layers, split=split,
+                          final=final, steps=steps, changed=changed,
+                          unresolved_zeros=unresolved, deficit=deficit, verdicts=verdicts,
+                          timings={"solve_s": t1 - t0, "repair_s": t2 - t1,
+                                   "verify_s": t3 - t2})
+
+
+def _verdicts(g: Graph, kind: ProblemKind, cover: tuple[Edge, ...], roles: tuple[Role, ...],
+              adjusted: Graph | None, final: Graph | None) -> dict[str, bool]:
     """Recompute every verdict from the outputs themselves.
 
     The weight-edit contract (only cover edges move, per-role monotonicity,
@@ -116,35 +179,30 @@ def _verify_solution(g: Graph, kind: ProblemKind, edges,
     adjusted graph, before zero-weight edges are lifted back to positive
     values; the metric property is judged on the final graph.
     """
-    verdicts: dict[str, object] = {
-        "cover_valid": validate_cover(g, edges, kind.cover_kind) is None,
-    }
+    verdicts = {"cover_valid": validate_cover(g, cover, kind.cover_kind) is None}
     if adjusted is not None:
-        cover = frozenset(edges)
+        role_of = dict(zip(cover, roles))
         cap = max((w for _, w in g.edge_items()), default=Fraction(0))
         only_cover = monotone = bounded = True
         for (u, v), w_new in adjusted.edge_items():
             w_old = g.weight(u, v)
             if w_new == w_old:
                 continue
-            if (u, v) not in cover:
+            if (u, v) not in role_of:
                 only_cover = False
             if not 0 <= w_new <= cap:
                 bounded = False
-            role = roles_by_edge.get((u, v), Role.UNASSIGNED)
-            if role is Role.INCREASE and w_new < w_old:
-                monotone = False
-            if role is Role.DECREASE and w_new > w_old:
-                monotone = False
-            if role is Role.UNASSIGNED:
+            role = role_of.get((u, v), Role.UNASSIGNED)
+            if not (role is Role.INCREASE and w_new > w_old
+                    or role is Role.DECREASE and w_new < w_old):
                 monotone = False
         verdicts.update({
             "only_cover_edges_changed": only_cover,
             "roles_monotone": monotone,
             "bounds_respected": bounded,
-            "repaired_metric": is_metric(final if final is not None else adjusted),
+            "repaired_metric": is_metric(final),
         })
-    verdicts["all_ok"] = all(v for v in verdicts.values())
+    verdicts["all_ok"] = all(verdicts.values())
     return verdicts
 
 
@@ -152,90 +210,39 @@ def cmd_solve(args) -> int:
     t0 = time.perf_counter()
     g = parse_instance(_read_text(args.instance))
     kind = ProblemKind(args.kind)
-    t1 = time.perf_counter()
-
-    roles_by_edge: dict[Edge, Role] = {}
-    layer_deficits: tuple = ()
-    if kind is ProblemKind.GMVDD:
-        tables = all_pairs_shortest_paths(g, counts=False)
-        edges = tuple(sorted(solve_decrease_only(g, tables)))
-        roles_by_edge = {e: Role.DECREASE for e in edges}
-    else:
-        solution = greedy_solve(g, kind)
-        edges = solution.edges
-        layer_deficits = solution.layer_deficits
-        roles_by_edge = dict(zip(solution.edges, solution.roles))
-    t2 = time.perf_counter()
-
-    adjusted = final = None
-    repair_info: dict | None = None
-    if args.repair:
-        if kind is ProblemKind.GMVDD:
-            tables = all_pairs_shortest_paths(g, counts=False)
-            cover = set(edges)
-            adjusted = Graph(g.n, [(u, v, tables.dist(u, v) if (u, v) in cover else w)
-                                   for (u, v), w in g.edge_items()])
-            final = adjusted
-            steps = len(edges)
-            unresolved: list[Edge] = []
-        else:
-            if kind is ProblemKind.GMVD:
-                split = split_cover(g, edges)
-                for e in split.s_plus:
-                    roles_by_edge[e] = Role.INCREASE
-                for e in split.s_minus:
-                    roles_by_edge[e] = Role.DECREASE
-                outcome = repair_weights(g, split, kind)
-            else:
-                outcome = repair_weights(g, edges, kind)
-            adjusted = outcome.graph
-            lifted = lift_zero_edges(outcome.graph)
-            final = lifted.graph
-            steps = outcome.steps
-            unresolved = sorted(lifted.unresolved)
-        changed = {e: (g.weight(*e), final.weight(*e))
-                   for e in g.edges() if final.weight(*e) != g.weight(*e)}
-        repair_info = {
-            "steps": steps,
-            "changed": [[_edge_json(e), format_weight(old), format_weight(new)]
-                        for e, (old, new) in sorted(changed.items())],
-            "unresolved_zeros": [_edge_json(e) for e in unresolved],
-        }
-        if args.out:
-            Path(args.out).write_text(serialize_instance(final) + "\n", encoding="utf-8")
-            repair_info["output"] = args.out
-    t3 = time.perf_counter()
-
-    verification = _verify_solution(g, kind, edges, adjusted, final, roles_by_edge)
-    t4 = time.perf_counter()
+    parse_s = time.perf_counter() - t0
+    result = run_pipeline(g, kind, repair=args.repair)
 
     report = {
         "command": "solve",
         "kind": kind.value,
-        "instance": _instance_summary(g, args.instance),
+        "instance": _instance_summary(g, args.instance, result.deficit),
         "solution": {
-            "size": len(edges),
-            "edges": [_edge_json(e) for e in edges],
-            "roles": [roles_by_edge.get(e, Role.UNASSIGNED).value for e in edges],
-            "layer_deficits": [format_weight(d) for d in layer_deficits],
+            "size": len(result.cover),
+            "edges": [_edge_json(e) for e in result.cover],
+            "roles": [r.value for r in result.roles],
+            "layer_deficits": [format_weight(d) for d in result.layer_deficits],
         },
-        "verification": verification,
-        "timings": {
-            "parse_s": t1 - t0,
-            "solve_s": t2 - t1,
-            "repair_s": t3 - t2,
-            "verify_s": t4 - t3,
-        },
+        "verification": result.verdicts,
+        "timings": {"parse_s": parse_s, **result.timings},
     }
-    if repair_info is not None:
-        report["repair"] = repair_info
+    if args.repair:
+        report["repair"] = {
+            "steps": result.steps,
+            "changed": [[_edge_json(e), format_weight(old), format_weight(new)]
+                        for e, (old, new) in sorted(result.changed.items())],
+            "unresolved_zeros": [_edge_json(e) for e in result.unresolved_zeros],
+        }
+        if args.out:
+            Path(args.out).write_text(serialize_instance(result.final) + "\n", encoding="utf-8")
+            report["repair"]["output"] = args.out
     _emit(report, args.format)
-    return EXIT_OK if verification["all_ok"] else EXIT_INTERNAL
+    return EXIT_OK if result.verdicts["all_ok"] else EXIT_INTERNAL
 
 
 def cmd_check(args) -> int:
     g = parse_instance(_read_text(args.instance))
-    cover = parse_cover_file(_read_text(args.cover))
+    cover = parse_cover(_read_text(args.cover), g)
     kind = CoverKind(args.cover_kind)
     witness = validate_cover(g, cover, kind)
     report = {
@@ -257,7 +264,7 @@ def cmd_check(args) -> int:
 
 def cmd_reduce(args) -> int:
     text = _read_text(args.source)
-    budget = WorkBudget(args.oracle_budget) if args.oracle_budget else default_budget()
+    budget = _oracle_budget(args)
 
     if args.which == "multicut":
         mc = reductions.parse_multicut(text)
@@ -333,7 +340,7 @@ def cmd_generate(args) -> int:
 
 def cmd_oracle(args) -> int:
     g = parse_instance(_read_text(args.instance))
-    budget = WorkBudget(args.oracle_budget) if args.oracle_budget else default_budget()
+    budget = _oracle_budget(args)
     report: dict = {"command": "oracle", "what": args.what,
                     "instance": _instance_summary(g, args.instance)}
     if args.what == "inventory":
@@ -366,35 +373,24 @@ def cmd_bench(args) -> int:
         trial_seed = args.seed * 100_003 + i
         g = reductions.gen_random(args.n, args.density, args.weight_max,
                                   args.violations, trial_seed)
-        t0 = time.perf_counter()
-        solution = greedy_solve(g, kind)
-        solve_s = time.perf_counter() - t0
-        verified = validate_cover(g, solution.edges, kind.cover_kind) is None
+        result = run_pipeline(g, kind, repair=args.repair)
         row: dict = {
             "trial": i,
             "seed": trial_seed,
             "n": g.n,
             "m": g.m,
-            "size": solution.size,
-            "layers": len(solution.layer_deficits),
-            "verified": verified,
-            "solve_s": solve_s,
+            "size": len(result.cover),
+            "layers": len(result.layer_deficits),
+            "verified": result.verdicts["all_ok"],
+            "solve_s": result.timings["solve_s"],
         }
         if args.repair:
-            t0 = time.perf_counter()
-            if kind is ProblemKind.GMVD:
-                outcome = repair_weights(g, split_cover(g, solution.edges), kind)
-            else:
-                outcome = repair_weights(g, solution.edges, kind)
-            lifted = lift_zero_edges(outcome.graph)
-            row["repair_s"] = time.perf_counter() - t0
-            row["repair_metric"] = is_metric(lifted.graph)
-            row["verified"] = verified = verified and row["repair_metric"]
-        budget = WorkBudget(args.oracle_budget) if args.oracle_budget else default_budget()
+            row["repair_s"] = result.timings["repair_s"]
+            row["repair_metric"] = result.verdicts["repaired_metric"]
         try:
-            opt = exact_min_cover(g, kind.cover_kind, budget=budget)
+            opt = exact_min_cover(g, kind.cover_kind, budget=_oracle_budget(args))
             row["opt"] = opt.size
-            row["ratio"] = (solution.size / opt.size) if opt.size else 1.0
+            row["ratio"] = (len(result.cover) / opt.size) if opt.size else 1.0
         except BudgetExceededError:
             row["opt"] = None
             row["ratio"] = None
@@ -493,14 +489,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except BudgetExceededError as exc:
+    except (InstanceFormatError, OSError, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (InstanceFormatError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except InternalConsistencyError as exc:
-        print(f"internal inconsistency: {exc}", file=sys.stderr)
+    except Exception as exc:  # any other failure is a bug: one line, no traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -8,10 +8,11 @@ deliberately no floating point anywhere near a comparison.
 from __future__ import annotations
 
 import heapq
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable
 
 Weight = Fraction
 Edge = tuple[int, int]
@@ -22,7 +23,8 @@ INFINITY = float("inf")
 
 
 class InstanceFormatError(ValueError):
-    """Malformed instance text; carries the 1-based offending line number."""
+    """The one input error: a malformed file, with its 1-based offending line
+    number, or a parameter outside its domain."""
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line
@@ -145,26 +147,98 @@ class Graph:
 
 
 def _parse_weight_token(token: str, line: int) -> Weight:
-    if "/" in token:
-        num_s, _, den_s = token.partition("/")
-        try:
-            num, den = int(num_s), int(den_s)
-        except ValueError:
-            raise InstanceFormatError(f"malformed weight {token!r}", line) from None
-        if den <= 0:
-            raise InstanceFormatError(f"malformed weight {token!r} (denominator must be positive)", line)
-        return Fraction(num, den)
+    num, slash, den = token.partition("/")
     try:
-        return Fraction(int(token))
+        num, den = int(num), int(den) if slash else 1
     except ValueError:
-        raise InstanceFormatError(f"malformed weight {token!r}", line) from None
+        den = 0
+    if den <= 0:
+        raise InstanceFormatError(f"malformed weight {token!r}", line)
+    return Fraction(num, den)
 
 
-def _significant_lines(text: str) -> Iterator[tuple[int, str]]:
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
+#: Largest vertex count a file header may declare.  Every command builds at
+#: least one n x n distance table of 8-byte pointers; at 10 000 vertices that
+#: is 0.8 GB, so a ten-byte header cannot ask for more than about 1 GB.
+MAX_VERTICES = 10_000
+
+
+class LineReader:
+    """The significant lines of a text file, read one at a time by shape.
+
+    Every file format goes through this reader: ``#`` starts a comment,
+    blank lines are skipped, and every error names its 1-based line.  A
+    shape such as ``"u v w"`` or ``"LB s t L"`` names the fields of a line: a
+    leading field in capitals is a keyword the line must start with, ``w``
+    is a weight, ``n`` a vertex count in [1, MAX_VERTICES], ``m`` and ``k``
+    counts that must be nonnegative, and any other field an integer.
+    """
+
+    def __init__(self, text: str):
+        raw_lines = text.splitlines()
+        self._rows = ((lineno, tokens) for lineno, raw in enumerate(raw_lines, start=1)
+                      if (tokens := raw.split("#", 1)[0].split()))
+        self._eof = len(raw_lines) + 1
+        self.lineno = 0  # line last read
+
+    def read(self, shape: str, missing: str | None = None, label: str = "") -> tuple | None:
+        """The next line's values.  At the end of the file this raises the
+        error ``missing``, or returns None when ``missing`` is None."""
+        self.lineno, tokens = next(self._rows, (self._eof, None))
+        if tokens is None:
+            if missing is None:
+                return None
+            raise InstanceFormatError(missing, self.lineno)
+        return self._values(shape, tokens, label)
+
+    def end(self) -> None:
+        lineno, tokens = next(self._rows, (None, None))
+        if tokens is not None:
+            raise InstanceFormatError(f"unexpected trailing content {' '.join(tokens)!r}",
+                                      lineno)
+
+    def _values(self, shape: str, tokens: list[str], label: str) -> tuple:
+        fields = shape.split()
+        skip = 1 if fields[0].isupper() else 0  # the keyword field
+        mismatch = f"expected {label}{shape!r}, got {' '.join(tokens)!r}"
+        if len(tokens) != len(fields) or tokens[:skip] != fields[:skip]:
+            raise InstanceFormatError(mismatch, self.lineno)
+        values = []
+        for field, token in zip(fields[skip:], tokens[skip:]):
+            if field == "w":
+                values.append(_parse_weight_token(token, self.lineno))
+                continue
+            try:
+                value = int(token)
+            except ValueError:
+                raise InstanceFormatError(mismatch, self.lineno) from None
+            if field == "n" and not 1 <= value <= MAX_VERTICES:
+                raise InstanceFormatError(
+                    f"vertex count must lie in [1, {MAX_VERTICES}], got {value}", self.lineno)
+            if field in ("m", "k") and value < 0:
+                raise InstanceFormatError(
+                    f"count {field!r} must be nonnegative, got {value}", self.lineno)
+            values.append(value)
+        return tuple(values)
+
+    @contextmanager
+    def blame(self):
+        """Report a ValueError raised inside as a format error on the line last read."""
+        try:
+            yield
+        except InstanceFormatError:
+            raise
+        except ValueError as exc:
+            raise InstanceFormatError(str(exc), self.lineno) from None
+
+    def graph(self, *, weighted: bool = True) -> "Graph":
+        """The ``n m`` header and m edge lines (unweighted: weight 1) of every
+        graph format.  Graph checks each edge as it consumes its line."""
+        n, m = self.read("n m", "empty instance", "header ")
+        rows = (self.read("u v w" if weighted else "u v", f"expected {m} edge lines, got {i}")
+                for i in range(m))
+        with self.blame():
+            return Graph(n, rows if weighted else ((u, v, 1) for u, v in rows))
 
 
 def parse_instance(text: str) -> Graph:
@@ -174,53 +248,23 @@ def parse_instance(text: str) -> Graph:
     is a positive integer or fraction ``p/q``.  ``#`` starts a comment.  All
     violations are reported with their line number.
     """
-    lines = _significant_lines(text)
-    try:
-        lineno, header = next(lines)
-    except StopIteration:
-        raise InstanceFormatError("empty instance") from None
-    parts = header.split()
-    if len(parts) != 2:
-        raise InstanceFormatError(f"expected header 'n m', got {header!r}", lineno)
-    try:
-        n, m = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise InstanceFormatError(f"expected header 'n m', got {header!r}", lineno) from None
-    if n < 1:
-        raise InstanceFormatError(f"vertex count must be positive, got {n}", lineno)
-    if m < 0:
-        raise InstanceFormatError(f"edge count must be nonnegative, got {m}", lineno)
+    lines = LineReader(text)
+    g = lines.graph()
+    lines.end()
+    return g
 
-    edges: list[tuple[int, int, Weight]] = []
-    seen: set[Edge] = set()
-    for _ in range(m):
-        try:
-            lineno, line = next(lines)
-        except StopIteration:
-            raise InstanceFormatError(f"expected {m} edge lines, got {len(edges)}") from None
-        parts = line.split()
-        if len(parts) != 3:
-            raise InstanceFormatError(f"expected 'u v w', got {line!r}", lineno)
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise InstanceFormatError(f"expected 'u v w', got {line!r}", lineno) from None
-        if not (0 <= u < n and 0 <= v < n):
-            raise InstanceFormatError(f"vertex id out of range in edge ({u}, {v})", lineno)
-        if u == v:
-            raise InstanceFormatError(f"self-loop at vertex {u}", lineno)
-        e = canonical_edge(u, v)
-        if e in seen:
-            raise InstanceFormatError(f"duplicate edge {e}", lineno)
-        w = _parse_weight_token(parts[2], lineno)
-        if w <= 0:
-            raise InstanceFormatError(f"nonpositive weight {w} on edge {e}", lineno)
-        seen.add(e)
-        edges.append((u, v, w))
 
-    for lineno, line in lines:
-        raise InstanceFormatError(f"unexpected trailing content {line!r}", lineno)
-    return Graph(n, edges)
+def parse_cover(text: str, g: Graph) -> list[Edge]:
+    """Parse a cover file, one edge ``u v`` per line, each an edge of ``g``."""
+    lines = LineReader(text)
+    cover = []
+    while (row := lines.read("u v")) is not None:
+        e = canonical_edge(*row)
+        if not g.has_edge(*e):
+            raise InstanceFormatError(f"cover edge {e} is not an edge of the instance",
+                                      lines.lineno)
+        cover.append(e)
+    return cover
 
 
 def format_weight(w: Weight) -> str:

@@ -21,6 +21,7 @@ from .core import (
     CycleWitness,
     Edge,
     Graph,
+    InstanceFormatError,
     Weight,
     canonical_edge,
     validate_cover,
@@ -36,10 +37,14 @@ class BudgetExceededError(RuntimeError):
 
 @dataclass
 class WorkBudget:
-    """Simple decrementing work counter shared by the exhaustive searches."""
+    """Work counter shared by the exhaustive searches; a limit of 0 allows no work."""
 
     limit: int
     used: int = 0
+
+    def __post_init__(self):
+        if self.limit < 0:
+            raise InstanceFormatError(f"work budget must be nonnegative, got {self.limit}")
 
     def charge(self, amount: int = 1) -> None:
         self.used += amount
@@ -48,7 +53,11 @@ class WorkBudget:
 
 
 def default_budget() -> WorkBudget:
-    limit = int(os.environ.get(_ENV_BUDGET, DEFAULT_BUDGET))
+    raw = os.environ.get(_ENV_BUDGET, str(DEFAULT_BUDGET))
+    try:
+        limit = int(raw)
+    except ValueError:
+        raise InstanceFormatError(f"{_ENV_BUDGET} must be an integer, got {raw!r}") from None
     return WorkBudget(limit)
 
 

@@ -10,36 +10,43 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .core import (
     Edge,
     Graph,
     INFINITY,
     InstanceFormatError,
+    LineReader,
+    MAX_VERTICES,
     all_pairs_shortest_paths,
     canonical_edge,
     dijkstra,
     graph_deficit,
-    _significant_lines,
 )
 from .solver import ProblemKind
 
 
-def _check_simple_edges(n: int, edges: Iterable[Edge], what: str) -> tuple[Edge, ...]:
+def _check_simple_edges(n: int, edges: Iterable[Edge]) -> tuple[Edge, ...]:
+    """Canonical sorted edges of a simple graph on n vertices; the check is Graph's."""
+    return tuple(Graph(n, ((u, v, 1) for u, v in edges)).edges())
+
+
+def _demand_pairs(n: int, edges: Iterable[Edge],
+                  demands: Iterable[tuple[int, int]]) -> Iterator[Edge]:
+    """Canonical demand pairs, each checked as it is drawn from ``demands``."""
+    edge_set = set(edges)
     seen: set[Edge] = set()
-    out: list[Edge] = []
-    for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"{what}: vertex id out of range in ({u}, {v})")
-        if u == v:
-            raise ValueError(f"{what}: self-loop at {u}")
-        e = canonical_edge(u, v)
-        if e in seen:
-            raise ValueError(f"{what}: duplicate edge {e}")
-        seen.add(e)
-        out.append(e)
-    return tuple(sorted(out))
+    for s, t in demands:
+        if not (0 <= s < n and 0 <= t < n) or s == t:
+            raise ValueError(f"invalid demand pair ({s}, {t})")
+        d = canonical_edge(s, t)
+        if d in edge_set:
+            raise ValueError(f"demand pair {d} is an edge; strip it first")
+        if d in seen:
+            raise ValueError(f"duplicate demand pair {d}")
+        seen.add(d)
+        yield d
 
 
 @dataclass(frozen=True)
@@ -51,22 +58,9 @@ class MulticutInstance:
     demands: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        edges = _check_simple_edges(self.n, self.edges, "multicut")
+        edges = _check_simple_edges(self.n, self.edges)
         object.__setattr__(self, "edges", edges)
-        edge_set = set(edges)
-        seen: set[Edge] = set()
-        demands = []
-        for s, t in self.demands:
-            if not (0 <= s < self.n and 0 <= t < self.n) or s == t:
-                raise ValueError(f"invalid demand pair ({s}, {t})")
-            d = canonical_edge(s, t)
-            if d in edge_set:
-                raise ValueError(f"demand pair {d} is an edge; strip it first")
-            if d in seen:
-                raise ValueError(f"duplicate demand pair {d}")
-            seen.add(d)
-            demands.append(d)
-        object.__setattr__(self, "demands", tuple(demands))
+        object.__setattr__(self, "demands", tuple(_demand_pairs(self.n, edges, self.demands)))
 
 
 @dataclass(frozen=True)
@@ -80,7 +74,7 @@ class LbCutInstance:
     bound: int
 
     def __post_init__(self):
-        edges = _check_simple_edges(self.n, self.edges, "lb-cut")
+        edges = _check_simple_edges(self.n, self.edges)
         object.__setattr__(self, "edges", edges)
         if not (0 <= self.source < self.n and 0 <= self.sink < self.n):
             raise ValueError("source/sink out of range")
@@ -208,14 +202,14 @@ def gen_random(n: int, density: float, weight_max: int, violations: int,
     resamples a bounded number of times when a draw cannot express the
     requested violations.
     """
-    if n < 3:
-        raise ValueError("need at least 3 vertices")
+    if not 3 <= n <= MAX_VERTICES:
+        raise InstanceFormatError(f"vertex count must lie in [3, {MAX_VERTICES}], got {n}")
     if not 0 < density <= 1:
-        raise ValueError("density must lie in (0, 1]")
+        raise InstanceFormatError("density must lie in (0, 1]")
     if weight_max < 1:
-        raise ValueError("weight_max must be a positive integer")
+        raise InstanceFormatError("weight_max must be a positive integer")
     if violations < 0:
-        raise ValueError("violations must be nonnegative")
+        raise InstanceFormatError("violations must be nonnegative")
     rng = random.Random(seed)
     density = float(density)
 
@@ -243,7 +237,7 @@ def gen_random(n: int, density: float, weight_max: int, violations: int,
                                         allow_zero=False)
         if graph_deficit(work, all_pairs_shortest_paths(work, counts=False)) > 0:
             return work
-    raise ValueError(
+    raise InstanceFormatError(
         f"could not realize {violations} violations at n={n}, density={density}; "
         "the sampled graphs have too few cycles")
 
@@ -252,62 +246,16 @@ def gen_random(n: int, density: float, weight_max: int, violations: int,
 # Source-problem file formats (core edge-list style, unweighted, one trailer)
 
 
-def _parse_unweighted_header(lines) -> tuple[int, int, list[Edge]]:
-    try:
-        lineno, header = next(lines)
-    except StopIteration:
-        raise InstanceFormatError("empty instance") from None
-    parts = header.split()
-    if len(parts) != 2:
-        raise InstanceFormatError(f"expected header 'n m', got {header!r}", lineno)
-    try:
-        n, m = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise InstanceFormatError(f"expected header 'n m', got {header!r}", lineno) from None
-    edges: list[Edge] = []
-    for _ in range(m):
-        try:
-            lineno, line = next(lines)
-        except StopIteration:
-            raise InstanceFormatError(f"expected {m} edge lines, got {len(edges)}") from None
-        parts = line.split()
-        if len(parts) != 2:
-            raise InstanceFormatError(f"expected 'u v', got {line!r}", lineno)
-        try:
-            edges.append((int(parts[0]), int(parts[1])))
-        except ValueError:
-            raise InstanceFormatError(f"expected 'u v', got {line!r}", lineno) from None
-    return n, m, edges
-
-
 def parse_multicut(text: str) -> MulticutInstance:
     """Parse 'n m', m unweighted edge lines, then 'D k' and k demand lines."""
-    lines = _significant_lines(text)
-    n, _, edges = _parse_unweighted_header(lines)
-    try:
-        lineno, trailer = next(lines)
-    except StopIteration:
-        raise InstanceFormatError("missing demand section 'D k'") from None
-    parts = trailer.split()
-    if len(parts) != 2 or parts[0] != "D":
-        raise InstanceFormatError(f"expected 'D k', got {trailer!r}", lineno)
-    k = int(parts[1])
-    demands: list[tuple[int, int]] = []
-    for _ in range(k):
-        try:
-            lineno, line = next(lines)
-        except StopIteration:
-            raise InstanceFormatError(f"expected {k} demand lines, got {len(demands)}") from None
-        parts = line.split()
-        if len(parts) != 2:
-            raise InstanceFormatError(f"expected demand 's t', got {line!r}", lineno)
-        demands.append((int(parts[0]), int(parts[1])))
-    for lineno, line in lines:
-        raise InstanceFormatError(f"unexpected trailing content {line!r}", lineno)
-    try:
-        return MulticutInstance(n=n, edges=tuple(edges), demands=tuple(demands))
-    except ValueError as exc:
-        raise InstanceFormatError(str(exc)) from None
+    lines = LineReader(text)
+    g = lines.graph(weighted=False)
+    (k,) = lines.read("D k", "missing demand section 'D k'")
+    rows = (lines.read("s t", f"expected {k} demand lines, got {i}") for i in range(k))
+    with lines.blame():
+        demands = tuple(_demand_pairs(g.n, g.edges(), rows))
+    lines.end()
+    return MulticutInstance(n=g.n, edges=tuple(g.edges()), demands=demands)
 
 
 def serialize_multicut(mc: MulticutInstance) -> str:
@@ -320,22 +268,14 @@ def serialize_multicut(mc: MulticutInstance) -> str:
 
 def parse_lbcut(text: str) -> LbCutInstance:
     """Parse 'n m', m unweighted edge lines, then one 'LB s t L' line."""
-    lines = _significant_lines(text)
-    n, _, edges = _parse_unweighted_header(lines)
-    try:
-        lineno, trailer = next(lines)
-    except StopIteration:
-        raise InstanceFormatError("missing 'LB s t L' line") from None
-    parts = trailer.split()
-    if len(parts) != 4 or parts[0] != "LB":
-        raise InstanceFormatError(f"expected 'LB s t L', got {trailer!r}", lineno)
-    for lineno, line in lines:
-        raise InstanceFormatError(f"unexpected trailing content {line!r}", lineno)
-    try:
-        return LbCutInstance(n=n, edges=tuple(edges), source=int(parts[1]),
-                             sink=int(parts[2]), bound=int(parts[3]))
-    except ValueError as exc:
-        raise InstanceFormatError(str(exc)) from None
+    lines = LineReader(text)
+    g = lines.graph(weighted=False)
+    source, sink, bound = lines.read("LB s t L", "missing 'LB s t L' line")
+    with lines.blame():
+        lb = LbCutInstance(n=g.n, edges=tuple(g.edges()), source=source, sink=sink,
+                           bound=bound)
+    lines.end()
+    return lb
 
 
 def serialize_lbcut(lb: LbCutInstance) -> str:

@@ -4,8 +4,13 @@ import json
 
 import pytest
 
-from metric_mend.cli import main
-from metric_mend.core import is_metric, parse_instance
+import metric_mend
+from metric_mend.cli import main, run_pipeline
+from metric_mend.core import (MAX_VERTICES, all_pairs_shortest_paths, graph_deficit, is_metric,
+                              parse_instance)
+from metric_mend.solver import ProblemKind
+
+import helpers
 
 from conftest import K3_TEXT
 
@@ -209,3 +214,85 @@ def test_text_format_smoke(capsys, k3_file):
     assert main(["solve", k3_file, "--kind", "gmvd"]) == 0
     out = capsys.readouterr().out
     assert "cover_valid: True" in out
+
+
+class TestOracleBudget:
+    def test_zero_budget_skips_bench_oracle(self, capsys):
+        code, report = run_json(capsys, ["bench", "--n", "5", "--trials", "2",
+                                         "--oracle-budget", "0"])
+        assert code == 0
+        assert [row["opt"] for row in report["trials"]] == [None, None]
+        assert report["aggregate"]["with_opt"] == 0
+
+    def test_zero_budget_oracle_exits_2(self, k3_file):
+        assert main(["oracle", k3_file, "--oracle-budget", "0"]) == 2
+
+    def test_zero_budget_reduce_is_unchecked(self, capsys, tmp_path):
+        src = tmp_path / "mc.txt"
+        src.write_text("3 2\n0 1\n1 2\nD 1\n0 2\n", encoding="utf-8")
+        code, report = run_json(capsys, ["reduce", "multicut", str(src), "--out",
+                                         str(tmp_path / "out.txt"), "--oracle-budget", "0"])
+        assert code == 0
+        assert report["verification"]["checked"] is False
+
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "K3", "--oracle-budget", "-1"],
+        ["reduce", "gmvid2gmvd", "K3", "--out", "OUT", "--oracle-budget", "-1"],
+        ["bench", "--n", "5", "--trials", "1", "--oracle-budget", "-1"],
+    ], ids=["oracle", "reduce", "bench"])
+    def test_negative_budget_is_input_error(self, capsys, tmp_path, k3_file, argv):
+        argv = [k3_file if a == "K3" else str(tmp_path / "o.txt") if a == "OUT" else a
+                for a in argv]
+        assert main(argv) == 2
+        assert "nonnegative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["abc", "-5"])
+    def test_bad_env_budget_is_input_error(self, monkeypatch, k3_file, value):
+        monkeypatch.setenv("METRIC_MEND_BUDGET", value)
+        assert main(["oracle", k3_file]) == 2
+
+
+@pytest.mark.parametrize("argv, files, line", [
+    (["solve", "{a}"], {"a": f"{MAX_VERTICES + 1} 0\n"}, 1),
+    (["solve", "{a}"], {"a": "0 0\n"}, 1),
+    (["reduce", "multicut", "{a}", "--out", "{out}"], {"a": "3 -1\nD 0\n"}, 1),
+    (["reduce", "lbcut", "{a}", "--out", "{out}"], {"a": "3 -1\nLB 0 2 1\n"}, 1),
+    (["reduce", "multicut", "{a}", "--out", "{out}"], {"a": "3 2\n0 1\n1 2\nD x\n"}, 4),
+    (["reduce", "multicut", "{a}", "--out", "{out}"],
+     {"a": "3 2\n0 1\n1 2\nD 2\n0 2\n0 y\n"}, 6),
+    (["reduce", "multicut", "{a}", "--out", "{out}"],
+     {"a": "3 2\n0 1\n1 2\nD 2\n0 1\n0 2\n"}, 5),
+    (["reduce", "lbcut", "{a}", "--out", "{out}"], {"a": "3 2\n0 1\n1 2\nLB 0 x 1\n"}, 4),
+    (["reduce", "lbcut", "{a}", "--out", "{out}"], {"a": "3 2\n0 1\n1 2\nLB 0 1 1\n"}, 4),
+    (["check", "{a}", "{b}"], {"a": "3 3\n0 1 1\n1 2 1\n0 2 5\n", "b": "0 2\n# x\n1 5\n"}, 3),
+], ids=["vertex-cap", "no-vertices", "multicut-negative-m", "lbcut-negative-m",
+        "demand-count", "demand-token", "demand-on-edge", "lb-token", "lb-on-edge",
+        "cover-non-edge"])
+def test_file_errors_exit_2_with_line(capsys, tmp_path, argv, files, line):
+    paths = {"out": str(tmp_path / "out.txt")}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        paths[name] = str(tmp_path / name)
+    assert main([a.format(**paths) for a in argv]) == 2
+    assert f"line {line}:" in capsys.readouterr().err
+
+
+def test_internal_value_error_exits_3_without_traceback(capsys, monkeypatch, k3_file):
+    def broken(*args, **kwargs):
+        raise ValueError("increase and decrease halves must be disjoint")
+    monkeypatch.setattr(metric_mend.cli, "split_cover", broken)
+    assert main(["solve", k3_file, "--kind", "gmvd", "--repair"]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("kind", list(ProblemKind))
+def test_pipeline_deficit_and_verdicts(kind):
+    for idx in range(6):
+        g = helpers.rational_instance(n=5 + idx % 3, violations=idx % 3, seed=2600 + idx)
+        result = run_pipeline(g, kind, repair=True)
+        assert result.deficit == graph_deficit(g, all_pairs_shortest_paths(g, counts=False))
+        assert result.verdicts["all_ok"] is True
+        assert is_metric(result.final)
+        assert set(result.changed) <= set(result.cover)

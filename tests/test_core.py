@@ -10,15 +10,18 @@ from metric_mend.core import (
     Graph,
     INFINITY,
     InstanceFormatError,
+    MAX_VERTICES,
     all_pairs_shortest_paths,
     find_uncovered_cycle,
     graph_deficit,
     is_metric,
+    parse_cover,
     parse_instance,
     serialize_instance,
     validate_cover,
 )
 from metric_mend.oracle import enumerate_unbalanced_cycles
+from metric_mend.reductions import parse_lbcut, parse_multicut
 
 import helpers
 from conftest import K3_TEXT
@@ -62,6 +65,30 @@ class TestParsing:
         with pytest.raises(InstanceFormatError) as err:
             parse_instance("# intro\n3 2\n0 1 1\n1 1 4")
         assert err.value.line == 4
+
+    @pytest.mark.parametrize("parse, text", [
+        (parse_instance, f"{MAX_VERTICES + 1} 0"),
+        (parse_instance, "0 0"),
+        (parse_instance, "-4 0"),
+        (parse_instance, "3 -1"),
+        (parse_multicut, f"{MAX_VERTICES + 1} 0\nD 0"),
+        (parse_multicut, "3 -1\nD 0"),
+        (parse_lbcut, "3 -1\nLB 0 2 1"),
+        (parse_lbcut, "0 0\nLB 0 2 1"),
+    ])
+    def test_header_rules_reject_at_line_1(self, parse, text):
+        with pytest.raises(InstanceFormatError) as err:
+            parse(text)
+        assert err.value.line == 1
+
+    def test_vertex_cap_admits_max_vertices(self):
+        assert parse_instance(f"# cap\n{MAX_VERTICES} 0").n == MAX_VERTICES
+
+    def test_cover_names_its_line(self, k3):
+        assert parse_cover("0 2  # chord\n\n1 0\n", k3) == [(0, 2), (0, 1)]
+        with pytest.raises(InstanceFormatError, match="not an edge") as err:
+            parse_cover("0 2\n1 5\n", k3)
+        assert err.value.line == 2
 
     def test_serialize_canonical_order(self, k3):
         assert serialize_instance(k3) == "3 3\n0 1 1\n0 2 5\n1 2 1"
@@ -254,3 +281,24 @@ def test_scaling_preserves_cover_verdicts(g, rng):
 
 def test_shared_k3_fixture_text(k3):
     assert parse_instance(K3_TEXT) == k3
+
+
+_TOKENS = st.sampled_from(["0", "1", "2", "3", "-1", "7", "10001", "1/2", "3/0", "-2/3",
+                           "x", "D", "LB", "#", "9" * 5000, "1e3", "0x1"])
+_TOKEN_LINES = st.lists(st.lists(_TOKENS, max_size=5).map(" ".join), max_size=8).map("\n".join)
+
+
+class TestParserFuzz:
+    """Whatever the text, the only exception a parser raises is InstanceFormatError."""
+
+    @pytest.mark.parametrize("parse", [
+        parse_instance, parse_multicut, parse_lbcut,
+        lambda text: parse_cover(text, parse_instance(K3_TEXT)),
+    ], ids=["instance", "multicut", "lbcut", "cover"])
+    @settings(max_examples=150, deadline=None)
+    @given(text=st.one_of(st.text(max_size=60), _TOKEN_LINES))
+    def test_only_format_errors_escape(self, parse, text):
+        try:
+            parse(text)
+        except InstanceFormatError:
+            pass
