@@ -120,20 +120,24 @@ def run_pipeline(g: Graph, kind: ProblemKind, *, repair: bool) -> PipelineResult
 
     gmvd and gmvid use the greedy cover, whose first layer is the input's
     deficit; gmvdd uses one distance table to pick the exact cover, repair
-    it and report the deficit.  The verdicts are recomputed from the
-    outputs themselves.
+    it and report the deficit.  Every stage, the verdicts included, runs on
+    ``g`` scaled to integer weights by the least common denominator L, whose
+    sums and comparisons are those of ``g`` times L; deficits and weights are
+    divided by L exactly on the way out.  The verdicts are recomputed from
+    the outputs themselves.
     """
     t0 = time.perf_counter()
+    gs, scale = g.integer_scaled()
     if kind is ProblemKind.GMVDD:
-        tables = all_pairs_shortest_paths(g, counts=False)
-        cover = tuple(sorted(solve_decrease_only(g, tables)))
+        tables = all_pairs_shortest_paths(gs, counts=False)
+        cover = tuple(sorted(solve_decrease_only(gs, tables)))
         roles = (Role.DECREASE,) * len(cover)
         layers: tuple = ()
-        deficit = graph_deficit(g, tables)
+        deficit = graph_deficit(gs, tables)
     else:
-        solution = greedy_solve(g, kind)
+        solution = greedy_solve(gs, kind)
         cover, roles, layers = solution.edges, solution.roles, solution.layer_deficits
-        deficit = layers[0] if layers else Fraction(0)
+        deficit = layers[0] if layers else 0
     t1 = time.perf_counter()
 
     split = adjusted = final = None
@@ -142,30 +146,33 @@ def run_pipeline(g: Graph, kind: ProblemKind, *, repair: bool) -> PipelineResult
     if repair:
         if kind is ProblemKind.GMVDD:
             chosen = set(cover)
-            adjusted = final = Graph(g.n, [(u, v, tables.dist(u, v) if (u, v) in chosen else w)
-                                           for (u, v), w in g.edge_items()])
+            adjusted = final = Graph(gs.n, [(u, v, tables.dist(u, v) if (u, v) in chosen else w)
+                                            for (u, v), w in gs.edge_items()])
             steps = len(cover)
         else:
             if kind is ProblemKind.GMVD:
-                split = split_cover(g, cover)
+                split = split_cover(gs, cover)
                 roles = tuple(Role.INCREASE if e in split.s_plus else Role.DECREASE
                               for e in cover)
-                outcome = repair_weights(g, split, kind)
+                outcome = repair_weights(gs, split, kind)
             else:
-                outcome = repair_weights(g, cover, kind)
+                outcome = repair_weights(gs, cover, kind)
             adjusted = outcome.graph
             lifted = lift_zero_edges(adjusted)
             final, steps = lifted.graph, outcome.steps
             unresolved = tuple(sorted(lifted.unresolved))
-    changed = {} if final is None else {
-        e: (w, final.weight(*e)) for e, w in g.edge_items() if final.weight(*e) != w}
+    unscaled = None if final is None else final.scaled(Fraction(1, scale))
+    changed = {} if unscaled is None else {
+        e: (w, unscaled.weight(*e)) for e, w in g.edge_items() if unscaled.weight(*e) != w}
     t2 = time.perf_counter()
 
-    verdicts = _verdicts(g, kind, cover, roles, adjusted, final)
+    verdicts = _verdicts(gs, kind, cover, roles, adjusted, final)
     t3 = time.perf_counter()
-    return PipelineResult(cover=cover, roles=roles, layer_deficits=layers, split=split,
-                          final=final, steps=steps, changed=changed,
-                          unresolved_zeros=unresolved, deficit=deficit, verdicts=verdicts,
+    return PipelineResult(cover=cover, roles=roles,
+                          layer_deficits=tuple(Fraction(d, scale) for d in layers),
+                          split=split, final=unscaled, steps=steps, changed=changed,
+                          unresolved_zeros=unresolved, deficit=Fraction(deficit, scale),
+                          verdicts=verdicts,
                           timings={"solve_s": t1 - t0, "repair_s": t2 - t1,
                                    "verify_s": t3 - t2})
 
@@ -182,7 +189,7 @@ def _verdicts(g: Graph, kind: ProblemKind, cover: tuple[Edge, ...], roles: tuple
     verdicts = {"cover_valid": validate_cover(g, cover, kind.cover_kind) is None}
     if adjusted is not None:
         role_of = dict(zip(cover, roles))
-        cap = max((w for _, w in g.edge_items()), default=Fraction(0))
+        cap = max((w for _, w in g.edge_items()), default=0)
         only_cover = monotone = bounded = True
         for (u, v), w_new in adjusted.edge_items():
             w_old = g.weight(u, v)

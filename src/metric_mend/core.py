@@ -1,20 +1,24 @@
 """Graph model, exact shortest-path machinery, and unbalanced-cycle checkers.
 
 Everything downstream (solver, repair, reductions, oracle) is built on the
-primitives in this module.  All weight arithmetic is exact rational; there is
-deliberately no floating point anywhere near a comparison.
+primitives in this module.  All weight arithmetic is exact: an integral weight
+is stored as an ``int`` and any other weight as a ``Fraction``, so a graph
+scaled by :meth:`Graph.integer_scaled` runs on plain integers.  There is
+deliberately no floating point anywhere near a comparison; ``INFINITY`` is
+only the unreachable sentinel.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable
 
-Weight = Fraction
+Weight = int | Fraction
 Edge = tuple[int, int]
 
 #: Sentinel distance for unreachable pairs.  Compares greater than every
@@ -43,13 +47,18 @@ def canonical_edge(u: int, v: int) -> Edge:
 
 
 def _as_weight(value) -> Weight:
+    """``value`` as an exact weight: an ``int`` when integral, else a ``Fraction``."""
+    if type(value) is int:
+        return value
     if isinstance(value, float):
         raise TypeError(f"refusing float weight {value!r}; weights are exact rationals")
-    return Fraction(value)
+    f = value if type(value) is Fraction else Fraction(value)
+    return f.numerator if f.denominator == 1 else f
 
 
 class Graph:
-    """Undirected simple graph with exact rational edge weights.
+    """Undirected simple graph with exact rational edge weights (``int`` when
+    integral, ``Fraction`` otherwise).
 
     Immutable after construction; the "mutators" (:meth:`with_weight`,
     :meth:`without_edge`, :meth:`scaled`) return new graphs.  Input weights
@@ -127,6 +136,17 @@ class Graph:
             raise ValueError("scale factor must be positive")
         return Graph(self.n, [(u, v, wf * f) for (u, v), wf in self._weights.items()],
                      allow_zero=True)
+
+    def integer_scaled(self) -> tuple["Graph", int]:
+        """``(self scaled by L, L)``, with L the least common multiple of the
+        weight denominators, so every weight of the scaled graph is an int.
+
+        Every sum and comparison of weights scales by the same positive L, so
+        anything decided on the scaled graph holds for this one; a weight w
+        found there maps back exactly as ``Fraction(w, L)``.
+        """
+        scale = math.lcm(*(w.denominator for w in self._weights.values()))
+        return (self if scale == 1 else self.scaled(scale)), scale
 
     def has_zero_weight(self) -> bool:
         return any(w == 0 for w in self._weights.values())
@@ -290,16 +310,17 @@ def dijkstra(g: Graph, source: int,
              skip_edges: frozenset[Edge] = frozenset()) -> tuple[list, list]:
     """Single-source shortest paths with exact weights.
 
-    Returns (dist, parent); dist entries are Fractions or INFINITY, parent is
-    a deterministic shortest-path tree (ties resolved by heap order on
-    (distance, vertex id), updates on strict improvement only).
+    Returns (dist, parent); dist entries are exact weights (ints when every
+    weight is an int) or INFINITY, parent is a deterministic shortest-path
+    tree (ties resolved by heap order on (distance, vertex id), updates on
+    strict improvement only).
     """
     n = g.n
     dist: list = [INFINITY] * n
     parent: list = [None] * n
     done = [False] * n
-    dist[source] = Fraction(0)
-    heap: list[tuple[Weight, int]] = [(Fraction(0), source)]
+    dist[source] = 0
+    heap: list[tuple[Weight, int]] = [(0, source)]
     while heap:
         d, u = heapq.heappop(heap)
         if done[u]:
@@ -353,6 +374,13 @@ class DistanceTables:
             raise ValueError("tables were built without path counts")
         return self._count[u][v]
 
+    def row(self, u: int) -> tuple[list, list[int]]:
+        """Rows ``dist(u, .)`` and ``spcount(u, .)`` for scans over many
+        targets: the tables' own lists, which callers must only read."""
+        if self._count is None:
+            raise ValueError("tables were built without path counts")
+        return self._dist[u], self._count[u]
+
     @property
     def has_counts(self) -> bool:
         return self._count is not None
@@ -400,7 +428,7 @@ def graph_deficit(g: Graph, tables: DistanceTables) -> Weight:
     distance, and each positive excess is realized by the cycle closing the
     edge with a shortest path, so the edge scan equals the cycle maximum.
     """
-    best = Fraction(0)
+    best = 0
     for (u, v), w in g.edge_items():
         excess = w - tables.dist(u, v)
         if excess > best:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import os
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from .core import (
@@ -70,7 +69,7 @@ class CycleInventory:
 
     @property
     def max_deficit(self) -> Weight:
-        return self.distinct_deficits[-1] if self.distinct_deficits else Fraction(0)
+        return self.distinct_deficits[-1] if self.distinct_deficits else 0
 
     def __len__(self) -> int:
         return len(self.cycles)
@@ -102,36 +101,37 @@ def enumerate_unbalanced_cycles(g: Graph, max_len: int | None = None,
     Canonical traversal: the root is the cycle's smallest vertex and the
     direction is fixed by requiring the second vertex to be smaller than the
     last.  Intended for small n; the budget counts DFS extensions and fails
-    fast on oversized inputs.
+    fast on oversized inputs.  The search keeps its own stack of neighbor
+    iterators, one per path vertex, so path length is not bounded by the
+    interpreter's recursion limit.
     """
     if budget is None:
         budget = default_budget()
     cap = max_len if max_len is not None else g.n
     found: list[CycleWitness] = []
-    path: list[int] = []
     on_path = [False] * g.n
-
-    def extend(root: int, u: int) -> None:
-        for v, _ in g.neighbors(u):
-            budget.charge()
-            if v == root and len(path) >= 3 and path[1] < path[-1]:
-                witness = _witness_from_cycle(g, path)
-                if witness is not None:
-                    found.append(witness)
-                continue
-            if v <= root or on_path[v] or len(path) >= cap:
-                continue
-            path.append(v)
-            on_path[v] = True
-            extend(root, v)
-            path.pop()
-            on_path[v] = False
 
     for root in range(g.n):
         path = [root]
         on_path[root] = True
-        extend(root, root)
-        on_path[root] = False
+        pending = [iter(g.neighbors(root))]  # pending[i]: unvisited neighbors of path[i]
+        while pending:
+            for v, _ in pending[-1]:
+                budget.charge()
+                if v == root and len(path) >= 3 and path[1] < path[-1]:
+                    witness = _witness_from_cycle(g, path)
+                    if witness is not None:
+                        found.append(witness)
+                    continue
+                if v <= root or on_path[v] or len(path) >= cap:
+                    continue
+                path.append(v)
+                on_path[v] = True
+                pending.append(iter(g.neighbors(v)))
+                break
+            else:  # every neighbor of path[-1] tried: backtrack
+                pending.pop()
+                on_path[path.pop()] = False
 
     found.sort(key=lambda w: (w.top, w.nontop))
     deficits = tuple(sorted({w.deficit for w in found}))

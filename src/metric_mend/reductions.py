@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
 from .core import (
@@ -116,9 +115,8 @@ def multicut_to_gmvid(mc: MulticutInstance) -> ReductionArtifact:
     path between its endpoints, so minimum non-top covers coincide with
     minimum multicuts.
     """
-    items = [(u, v, Fraction(1)) for u, v in mc.edges]
-    heavy = Fraction(mc.n)
-    items += [(s, t, heavy) for s, t in mc.demands]
+    items = [(u, v, 1) for u, v in mc.edges]
+    items += [(s, t, mc.n) for s, t in mc.demands]
     graph = Graph(mc.n, items)
     return ReductionArtifact(
         instance=graph,
@@ -135,9 +133,9 @@ def lbcut_to_gmvid(lb: LbCutInstance) -> ReductionArtifact:
     Unbalanced cycles of the output are exactly that edge plus a source-sink
     path of at most ``bound`` unit edges.
     """
-    items = [(u, v, Fraction(1)) for u, v in lb.edges]
+    items = [(u, v, 1) for u, v in lb.edges]
     st = canonical_edge(lb.source, lb.sink)
-    items.append((st[0], st[1], Fraction(lb.bound + 1)))
+    items.append((st[0], st[1], lb.bound + 1))
     graph = Graph(lb.n, items)
     return ReductionArtifact(
         instance=graph,
@@ -157,7 +155,8 @@ def gmvid_to_gmvd(g: Graph) -> ReductionArtifact:
     a weight L - w edge, with L one more than the maximum weight.  Gadget
     vertex ids are appended after the original ids, heavy edges in
     lexicographic order, copies in increasing order, so the artifact is
-    reproducible.
+    reproducible.  An output above ``MAX_VERTICES`` vertices is refused
+    before anything is built.
     """
     tables = all_pairs_shortest_paths(g, counts=False)
     tops = [(u, v) for (u, v), w in g.edge_items() if w > tables.dist(u, v)]
@@ -165,8 +164,13 @@ def gmvid_to_gmvd(g: Graph) -> ReductionArtifact:
         return ReductionArtifact(instance=g, kind=ProblemKind.GMVD,
                                  back_map={e: e for e in g.edges()},
                                  added_edges=frozenset(), added_vertices=frozenset())
-    big = 1 + max(w for _, w in g.edge_items())
     copies = g.m + 1
+    size = g.n + len(tops) * copies
+    if size > MAX_VERTICES:
+        raise InstanceFormatError(
+            f"the reduction would build {size} vertices ({len(tops)} violating edges "
+            f"x {copies} gadget copies + {g.n}), above the cap of {MAX_VERTICES}")
+    big = 1 + max(w for _, w in g.edge_items())
     items = [(u, v, w) for (u, v), w in g.edge_items()]
     added_edges: set[Edge] = set()
     added_vertices: set[int] = set()
@@ -178,7 +182,7 @@ def gmvid_to_gmvd(g: Graph) -> ReductionArtifact:
                 e = canonical_edge(endpoint, vid)
                 items.append((e[0], e[1], weight))
                 added_edges.add(e)
-    graph = Graph(g.n + len(tops) * copies, items)
+    graph = Graph(size, items)
     return ReductionArtifact(instance=graph, kind=ProblemKind.GMVD,
                              back_map={e: e for e in g.edges()},
                              added_edges=frozenset(added_edges),
@@ -218,8 +222,7 @@ def gen_random(n: int, density: float, weight_max: int, violations: int,
                  if rng.random() < density]
         if len(pairs) < violations or (violations > 0 and len(pairs) < 3):
             continue
-        base = Graph(n, [(u, v, Fraction(rng.randint(1, weight_max)))
-                         for u, v in pairs])
+        base = Graph(n, [(u, v, rng.randint(1, weight_max)) for u, v in pairs])
         tables = all_pairs_shortest_paths(base, counts=False)
         work = Graph(n, [(u, v, tables.dist(u, v)) for u, v in pairs])
         if violations == 0:
@@ -229,12 +232,11 @@ def gen_random(n: int, density: float, weight_max: int, violations: int,
             if rng.random() < 0.5:
                 dist, _ = dijkstra(work, e[0], skip_edges=frozenset({e}))
                 alt = dist[e[1]]
-                bump = Fraction(rng.randint(1, weight_max))
+                bump = rng.randint(1, weight_max)
                 work = work.with_weight(e, (alt if alt != INFINITY else w) + bump,
                                         allow_zero=False)
             elif w > 1:
-                work = work.with_weight(e, Fraction(rng.randint(1, int(w) - 1)),
-                                        allow_zero=False)
+                work = work.with_weight(e, rng.randint(1, w - 1), allow_zero=False)
         if graph_deficit(work, all_pairs_shortest_paths(work, counts=False)) > 0:
             return work
     raise InstanceFormatError(

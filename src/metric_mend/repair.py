@@ -12,7 +12,6 @@ of rounds small without changing the contract.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -100,16 +99,18 @@ def split_cover(g: Graph, cover: Iterable[Edge]) -> SplitCover:
     return SplitCover(s_plus=frozenset(s_plus), s_minus=frozenset(s_minus))
 
 
-def _integer_scale(g: Graph, scale_hint: int | None) -> int:
-    if scale_hint is not None:
-        if scale_hint < 1:
-            raise ValueError("scale_hint must be a positive integer")
-        for (u, v), w in g.edge_items():
-            if (w * scale_hint).denominator != 1:
-                raise ValueError(
-                    f"scale_hint {scale_hint} does not clear edge ({u},{v}) weight {w}")
-        return scale_hint
-    return math.lcm(*(w.denominator for _, w in g.edge_items())) if g.m else 1
+def _integer_scale(g: Graph, scale_hint: int | None) -> tuple[Graph, int]:
+    """``g`` with integer weights and its multiplier: ``scale_hint`` when
+    given and valid, else the least common denominator."""
+    if scale_hint is None:
+        return g.integer_scaled()
+    if scale_hint < 1:
+        raise ValueError("scale_hint must be a positive integer")
+    for (u, v), w in g.edge_items():
+        if (w * scale_hint).denominator != 1:
+            raise ValueError(
+                f"scale_hint {scale_hint} does not clear edge ({u},{v}) weight {w}")
+    return g.scaled(scale_hint), scale_hint
 
 
 def repair_weights(g: Graph, cover, kind: ProblemKind,
@@ -149,10 +150,9 @@ def repair_weights(g: Graph, cover, kind: ProblemKind,
     else:
         raise ValueError("repair handles the GMVD and GMVID problems")
 
-    factor = _integer_scale(g, scale_hint)
-    work = g.scaled(factor)
-    cap = max((w for _, w in work.edge_items()), default=Fraction(0))  # no move may exceed this
-    max_moves = (len(s_plus) + len(s_minus)) * int(cap) + 1
+    work, factor = _integer_scale(g, scale_hint)
+    cap = max((w for _, w in work.edge_items()), default=0)  # no move may exceed this
+    max_moves = (len(s_plus) + len(s_minus)) * cap + 1
     steps = 0
 
     for _ in range(max_moves):
@@ -168,15 +168,9 @@ def repair_weights(g: Graph, cover, kind: ProblemKind,
     else:
         raise InternalConsistencyError("repair exceeded its move budget")
 
-    changed = {}
-    final_items = []
-    for (u, v), w in work.edge_items():
-        restored = w / factor
-        final_items.append((u, v, restored))
-        if restored != g.weight(u, v):
-            changed[(u, v)] = (g.weight(u, v), restored)
-    return RepairOutcome(graph=Graph(g.n, final_items, allow_zero=True),
-                         changed=changed, steps=steps)
+    final = work.scaled(Fraction(1, factor))
+    changed = {e: (w, final.weight(*e)) for e, w in g.edge_items() if final.weight(*e) != w}
+    return RepairOutcome(graph=final, changed=changed, steps=steps)
 
 
 def _apply_safe_move(work: Graph, witness: CycleWitness, s_plus: frozenset[Edge],

@@ -1,13 +1,15 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 import pytest
 
 import metric_mend
 from metric_mend.cli import main, run_pipeline
-from metric_mend.core import (MAX_VERTICES, all_pairs_shortest_paths, graph_deficit, is_metric,
-                              parse_instance)
+from metric_mend.core import (MAX_VERTICES, Graph, all_pairs_shortest_paths, graph_deficit,
+                              is_metric, parse_instance, serialize_instance)
+from metric_mend.reductions import gen_random
 from metric_mend.solver import ProblemKind
 
 import helpers
@@ -296,3 +298,35 @@ def test_pipeline_deficit_and_verdicts(kind):
         assert result.verdicts["all_ok"] is True
         assert is_metric(result.final)
         assert set(result.changed) <= set(result.cover)
+
+
+@pytest.mark.parametrize("kind", list(ProblemKind))
+def test_pipeline_is_scale_invariant(kind):
+    # run_pipeline works on integer weights scaled by the common denominator;
+    # rescaling the input must rescale every output weight exactly
+    lam = Fraction(7, 3)
+    graphs = [Graph(3, [(0, 1, Fraction(1, 2)), (1, 2, Fraction(1, 3)), (0, 2, 5)])]
+    graphs += [helpers.rational_instance(n=5 + idx % 3, violations=1 + idx % 3, seed=2700 + idx)
+               for idx in range(6)]
+    fractional_outputs = 0
+    for g in graphs:
+        base = run_pipeline(g, kind, repair=True)
+        scaled = run_pipeline(g.scaled(lam), kind, repair=True)
+        assert (scaled.cover, scaled.roles, scaled.steps) == (base.cover, base.roles, base.steps)
+        assert scaled.layer_deficits == tuple(d * lam for d in base.layer_deficits)
+        assert scaled.deficit == base.deficit * lam
+        assert scaled.final == base.final.scaled(lam)
+        assert scaled.changed == {e: (old * lam, new * lam)
+                                  for e, (old, new) in base.changed.items()}
+        assert scaled.verdicts == base.verdicts and base.verdicts["all_ok"]
+        fractional_outputs += any(new.denominator > 1 for _, new in base.changed.values())
+    assert fractional_outputs  # some repaired weight stays non-integral after unscaling
+
+
+def test_oversized_reduction_exits_2(capsys, tmp_path):
+    src = tmp_path / "big.txt"
+    src.write_text(serialize_instance(gen_random(60, 0.3, 10, 12, 5)), encoding="utf-8")
+    out = tmp_path / "out.txt"
+    assert main(["reduce", "gmvid2gmvd", str(src), "--out", str(out)]) == 2
+    assert "16740" in capsys.readouterr().err
+    assert not out.exists()

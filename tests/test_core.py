@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -277,6 +278,45 @@ def test_scaling_preserves_cover_verdicts(g, rng):
     for kind in CoverKind:
         assert (validate_cover(g, cover, kind) is None) == \
             (validate_cover(scaled, cover, kind) is None)
+
+
+def _exact_weights(g: Graph) -> bool:
+    return all(type(w) is int or (type(w) is Fraction and w.denominator > 1)
+               for _, w in g.edge_items())
+
+
+class TestWeightTypes:
+    """Integral weights are stored as int, all others as Fraction; never a float."""
+
+    def test_parsed_weights(self):
+        g = parse_instance("3 3\n0 1 4/2\n1 2 3/2\n0 2 5\n")
+        assert [type(w) for _, w in g.edge_items()] == [int, int, Fraction]  # (0,1) (0,2) (1,2)
+        assert g.weight(0, 1) == 2
+
+    @pytest.mark.parametrize("w", [1.0, 0.5, float("inf")])
+    def test_floats_refused(self, w):
+        with pytest.raises(TypeError):
+            Graph(2, [(0, 1, w)])
+
+    @settings(max_examples=40, deadline=None)
+    @given(graphs(), st.fractions(min_value=Fraction(1, 3), max_value=Fraction(7),
+                                  max_denominator=3))
+    def test_every_stored_weight_is_exact(self, g, lam):
+        for h in (g, parse_instance(serialize_instance(g)), g.scaled(lam),
+                  g.with_weight(g.edges()[0], lam)):
+            assert _exact_weights(h)
+
+    @settings(max_examples=40, deadline=None)
+    @given(graphs())
+    def test_integer_scaled(self, g):
+        scaled, scale = g.integer_scaled()
+        assert scale == math.lcm(*(w.denominator for _, w in g.edge_items()))
+        assert scaled == g.scaled(scale)
+        assert all(type(w) is int for _, w in scaled.edge_items())
+        t = all_pairs_shortest_paths(scaled)
+        assert all(type(d) is int or d == INFINITY
+                   for u in range(g.n) for d in t.row(u)[0])
+        assert scaled.integer_scaled() == (scaled, 1)
 
 
 def test_shared_k3_fixture_text(k3):

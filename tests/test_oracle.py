@@ -14,6 +14,7 @@ from metric_mend.oracle import (
     enumerate_unbalanced_cycles,
     exact_min_cover,
 )
+from metric_mend.reductions import gen_random
 
 import helpers
 
@@ -53,6 +54,27 @@ class TestEnumeration:
         g = helpers.rational_instance(n=8, violations=0, seed=3, density=1.0)
         with pytest.raises(BudgetExceededError):
             enumerate_unbalanced_cycles(g, budget=WorkBudget(50))
+
+
+    @pytest.mark.parametrize("make, used", [
+        (lambda: Graph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1), (0, 2, 5)]), 38),
+        (lambda: gen_random(7, 0.6, 10, 2, 11), 315),
+        (lambda: gen_random(8, 0.5, 10, 3, 12), 1386),
+    ], ids=["chorded-square", "n7", "n8"])
+    def test_budget_charges_one_unit_per_extension(self, make, used):
+        # one unit per neighbour the search examines
+        budget = WorkBudget(10**9)
+        enumerate_unbalanced_cycles(make(), budget=budget)
+        assert budget.used == used
+
+    def test_long_cycle_is_not_bounded_by_recursion(self):
+        n = 1200
+        g = Graph(n, [(i, i + 1, 1) for i in range(n - 1)] + [(0, n - 1, n)])
+        inventory = enumerate_unbalanced_cycles(g)
+        assert len(inventory) == 1
+        assert inventory.cycles[0].top == (0, n - 1)
+        assert len(inventory.cycles[0].nontop) == n - 1
+        assert inventory.max_deficit == 1
 
 
 class TestBruteCount:

@@ -8,6 +8,7 @@ from metric_mend.core import (
     CoverKind,
     Graph,
     InstanceFormatError,
+    MAX_VERTICES,
     all_pairs_shortest_paths,
     graph_deficit,
     is_metric,
@@ -167,6 +168,12 @@ class TestGmvidToGmvd:
             assert out_opt.size == in_opt.size
             assert not (set(out_opt.edges) & art.added_edges)
         assert count >= 20
+
+    def test_oversized_output_refused_before_building(self):
+        g = gen_random(60, 0.3, 10, 12, 5)  # 30 violating edges x 556 copies + 60
+        with pytest.raises(InstanceFormatError,
+                           match=f"would build 16740 vertices .* cap of {MAX_VERTICES}"):
+            gmvid_to_gmvd(g)
 
 
 class TestGenRandom:

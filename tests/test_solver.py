@@ -78,6 +78,25 @@ class TestCountReport:
         assert reports[(0, 2)].count == 0
         assert all(r.count == r.n_nontop for r in reports.values())
 
+    def test_matches_per_edge_views(self, corpus):
+        # count_report gathers its counts from the tight tops; count_top and
+        # count_nontop are the per-edge views that criterion 1 checks against
+        # brute force
+        checked = 0
+        for entry in corpus:
+            for g in (entry.graph, entry.graph.scaled(Fraction(7, 3))):
+                t = all_pairs_shortest_paths(g)
+                delta = graph_deficit(g, t)
+                if delta == 0:
+                    continue
+                reports = count_report(g, t, delta, ProblemKind.GMVD)
+                assert list(reports) == g.edges()
+                for e in g.edges():
+                    assert reports[e].n_top == count_top(g, t, delta, e), (entry.name, e)
+                    assert reports[e].n_nontop == count_nontop(g, t, delta, e), (entry.name, e)
+                    checked += 1
+        assert checked > 5000
+
     def test_requires_positive_deficit(self, chorded_square, chord_tables):
         with pytest.raises(ValueError):
             count_report(chorded_square, chord_tables, Fraction(0), ProblemKind.GMVD)
