@@ -24,6 +24,7 @@ from .core import (
     InstanceFormatError,
     Weight,
     all_pairs_shortest_paths,
+    find_uncovered_cycle,
     format_weight,
     graph_deficit,
     is_metric,
@@ -86,7 +87,10 @@ def _emit_text(report: dict, indent: str = "") -> None:
 def _instance_summary(g: Graph, path: str | None = None,
                       deficit: Weight | None = None) -> dict:
     if deficit is None:
-        deficit = graph_deficit(g, all_pairs_shortest_paths(g, counts=False))
+        # one Dijkstra run per distinct lower edge endpoint, not all n: a
+        # gadget output of `reduce` has few, so it builds no n x n table
+        worst = find_uncovered_cycle(g, (), ())
+        deficit = worst.deficit if worst is not None else 0
     summary = {
         "n": g.n,
         "m": g.m,

@@ -177,9 +177,12 @@ def _parse_weight_token(token: str, line: int) -> Weight:
     return Fraction(num, den)
 
 
-#: Largest vertex count a file header may declare.  Every command builds at
-#: least one n x n distance table of 8-byte pointers; at 10 000 vertices that
-#: is 0.8 GB, so a ten-byte header cannot ask for more than about 1 GB.
+#: Largest vertex count a file header may declare, so that a ten-byte header
+#: cannot ask for unbounded memory.  An n x n distance table entry is an
+#: 8-byte pointer plus its own int or Fraction object: about 40 bytes for an
+#: int and 80 or more for a Fraction on CPython 3.11 (measured at n = 300), so
+#: a full table at 10 000 vertices takes 4 GB or more, not the 0.8 GB of its
+#: pointers alone.
 MAX_VERTICES = 10_000
 
 

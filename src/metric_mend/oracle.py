@@ -3,9 +3,10 @@
 Exhaustive unbalanced-cycle enumeration, brute-force minimum covers, and
 brute-force minimum multicut / length-bounded cut.  Everything here is the
 independent second route against which the polynomial machinery is verified;
-none of it consults the fast counting or checking code paths, except that
-the cover search uses the polynomial `validate_cover` as its per-subset
-feasibility test.
+none of it consults the fast counting or checking code paths.  A cover is
+decided against the enumerated cycle inventory, never by the polynomial
+checker `find_uncovered_cycle` that the greedy uses on itself, so a fault in
+that checker cannot move the greedy and its ground truth together.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import os
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
+from math import inf
 
 from .core import (
     CoverKind,
@@ -23,8 +25,8 @@ from .core import (
     InstanceFormatError,
     Weight,
     canonical_edge,
-    validate_cover,
 )
+from .solver import CoverSolution, ProblemKind, Role
 
 _ENV_BUDGET = "METRIC_MEND_BUDGET"
 DEFAULT_BUDGET = 5_000_000
@@ -94,8 +96,7 @@ def _witness_from_cycle(g: Graph, vertices: list[int]) -> CycleWitness | None:
     return CycleWitness(top=cycle_edges[top_idx], nontop=nontop, deficit=deficit)
 
 
-def enumerate_unbalanced_cycles(g: Graph, max_len: int | None = None,
-                                budget: WorkBudget | None = None) -> CycleInventory:
+def enumerate_unbalanced_cycles(g: Graph, budget: WorkBudget | None = None) -> CycleInventory:
     """Enumerate every simple cycle with positive deficit, each exactly once.
 
     Canonical traversal: the root is the cycle's smallest vertex and the
@@ -107,7 +108,6 @@ def enumerate_unbalanced_cycles(g: Graph, max_len: int | None = None,
     """
     if budget is None:
         budget = default_budget()
-    cap = max_len if max_len is not None else g.n
     found: list[CycleWitness] = []
     on_path = [False] * g.n
 
@@ -123,7 +123,7 @@ def enumerate_unbalanced_cycles(g: Graph, max_len: int | None = None,
                     if witness is not None:
                         found.append(witness)
                     continue
-                if v <= root or on_path[v] or len(path) >= cap:
+                if v <= root or on_path[v]:
                     continue
                 path.append(v)
                 on_path[v] = True
@@ -157,15 +157,30 @@ def brute_count(g: Graph, delta: Weight, edge: Edge, role: str,
     return sum(1 for c in inventory.cycles if c.deficit == delta and e in c.nontop)
 
 
+def _first_subset(items: list, accepts, budget: WorkBudget | None) -> tuple:
+    """First subset of ``items`` that ``accepts`` takes, smallest size first.
+
+    Subsets are tried in `combinations` order, so the answer is the
+    lexicographically first minimum; each subset tried costs one budget unit.
+    """
+    if budget is None:
+        budget = default_budget()
+    for k in range(len(items) + 1):
+        for combo in combinations(items, k):
+            budget.charge()
+            if accepts(combo):
+                return combo
+    raise BudgetExceededError("subset search exhausted without an accepted subset")
+
+
 def exact_min_cover(g: Graph, kind: CoverKind, budget: WorkBudget | None = None):
     """Minimum-cardinality cover by subset search, lexicographically first.
 
-    Candidate edges are restricted to those that can actually hit a cycle set
-    of the requested kind (a minimum cover never contains a useless edge);
-    feasibility of each subset is decided by the polynomial `validate_cover`.
+    A cover is a hitting set of the enumerated inventory: a subset is a
+    regular cover when it meets every unbalanced cycle, and a non-top cover
+    when it meets every cycle's non-top path.  Candidates are the edges that
+    lie on such a cycle part (a minimum cover never contains a useless edge).
     """
-    from .solver import CoverSolution, ProblemKind, Role
-
     if kind is CoverKind.REGULAR:
         problem, role = ProblemKind.GMVD, Role.UNASSIGNED
     elif kind is CoverKind.NONTOP:
@@ -175,92 +190,62 @@ def exact_min_cover(g: Graph, kind: CoverKind, budget: WorkBudget | None = None)
     if budget is None:
         budget = default_budget()
     inventory = enumerate_unbalanced_cycles(g, budget=budget)
-    if kind is CoverKind.REGULAR:
-        candidates = sorted({e for c in inventory.cycles for e in c.edges})
-    else:
-        candidates = sorted({e for c in inventory.cycles for e in c.nontop})
-    for k in range(len(candidates) + 1):
-        for combo in combinations(candidates, k):
-            budget.charge()
-            if validate_cover(g, combo, kind) is None:
-                return CoverSolution(kind=problem, edges=combo,
-                                     roles=(role,) * k, layer_deficits=())
-    raise BudgetExceededError("subset search exhausted candidates without a cover")
+    parts = [c.edges if kind is CoverKind.REGULAR else c.nontop for c in inventory.cycles]
+    candidates = sorted({e for part in parts for e in part})
+    bit = {e: 1 << i for i, e in enumerate(candidates)}
+    # a cycle's edges are distinct, so summing their bits is their union
+    masks = {sum(bit[e] for e in part) for part in parts}
+
+    def hits_every_cycle(combo: tuple[Edge, ...]) -> bool:
+        chosen = sum(bit[e] for e in combo)
+        return all(chosen & mask for mask in masks)
+
+    cover = _first_subset(candidates, hits_every_cycle, budget)
+    return CoverSolution(kind=problem, edges=cover, roles=(role,) * len(cover),
+                         layer_deficits=())
 
 
 # ---------------------------------------------------------------------------
 # Brute-force source-problem optima for the reduction cross-checks
 
 
-def _components_after_removal(n: int, edges: list[Edge], removed: frozenset[Edge]) -> list[int]:
-    comp = list(range(n))
+def _hop_counts(n: int, edges: list[Edge], removed: frozenset[Edge], source: int) -> list[float]:
+    """Breadth-first hop counts from ``source`` once ``removed`` is deleted; inf if unreachable."""
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
         if (u, v) not in removed:
             adj[u].append(v)
             adj[v].append(u)
-    seen = [False] * n
-    for s in range(n):
-        if seen[s]:
-            continue
-        queue = deque([s])
-        seen[s] = True
-        while queue:
-            u = queue.popleft()
-            comp[u] = s
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    queue.append(v)
-    return comp
+    hops = [inf] * n
+    hops[source] = 0
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for v in adj[u]:
+            if hops[v] == inf:
+                hops[v] = hops[u] + 1
+                queue.append(v)
+    return hops
 
 
 def brute_multicut(n: int, edges: list[Edge], demands: list[tuple[int, int]],
                    budget: WorkBudget | None = None) -> frozenset[Edge]:
     """Minimum edge set disconnecting all demand pairs, by subset search."""
-    if budget is None:
-        budget = default_budget()
     edges = sorted(canonical_edge(*e) for e in edges)
-    for k in range(len(edges) + 1):
-        for combo in combinations(edges, k):
-            budget.charge()
-            removed = frozenset(combo)
-            comp = _components_after_removal(n, edges, removed)
-            if all(comp[s] != comp[t] for s, t in demands):
-                return removed
-    raise BudgetExceededError("multicut subset search exhausted")
 
+    def disconnects(combo: tuple[Edge, ...]) -> bool:
+        removed = frozenset(combo)
+        return all(_hop_counts(n, edges, removed, s)[t] == inf for s, t in demands)
 
-def _hop_distance(n: int, edges: list[Edge], removed: frozenset[Edge], s: int, t: int) -> float:
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        if (u, v) not in removed:
-            adj[u].append(v)
-            adj[v].append(u)
-    dist = [-1] * n
-    dist[s] = 0
-    queue = deque([s])
-    while queue:
-        u = queue.popleft()
-        if u == t:
-            return dist[t]
-        for v in adj[u]:
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return float("inf")
+    return frozenset(_first_subset(edges, disconnects, budget))
 
 
 def brute_lbcut(n: int, edges: list[Edge], source: int, sink: int, bound: int,
                 budget: WorkBudget | None = None) -> frozenset[Edge]:
     """Minimum edge set destroying every source-sink path of length <= bound."""
-    if budget is None:
-        budget = default_budget()
     edges = sorted(canonical_edge(*e) for e in edges)
-    for k in range(len(edges) + 1):
-        for combo in combinations(edges, k):
-            budget.charge()
-            removed = frozenset(combo)
-            if _hop_distance(n, edges, removed, source, sink) > bound:
-                return removed
-    raise BudgetExceededError("lb-cut subset search exhausted")
+
+    def lengthens(combo: tuple[Edge, ...]) -> bool:
+        return _hop_counts(n, edges, frozenset(combo), source)[sink] > bound
+
+    return frozenset(_first_subset(edges, lengthens, budget))

@@ -80,17 +80,28 @@ def brute_shortest_path_counts(g: Graph) -> tuple[list[list], list[list[int]]]:
     return best, count
 
 
-def multicut_feasible(n: int, edges, removed, demands) -> bool:
-    from metric_mend.oracle import _components_after_removal
+def _hop_distances(edges, removed, source: int) -> dict[int, int]:
+    """Hops from ``source`` to each vertex it still reaches once ``removed`` is deleted."""
+    kept = {tuple(sorted(e)) for e in edges} - {tuple(sorted(e)) for e in removed}
+    dist = {source: 0}
+    frontier = {source}
+    hops = 0
+    while frontier:
+        hops += 1
+        frontier = {b for u, v in kept for a, b in ((u, v), (v, u))
+                    if a in frontier and b not in dist}
+        dist.update((b, hops) for b in frontier)
+    return dist
 
-    comp = _components_after_removal(n, sorted(edges), frozenset(removed))
-    return all(comp[s] != comp[t] for s, t in demands)
+
+def multicut_feasible(edges, removed, demands) -> bool:
+    """No demand pair stays connected once ``removed`` is deleted."""
+    return all(t not in _hop_distances(edges, removed, s) for s, t in demands)
 
 
-def lbcut_feasible(n: int, edges, removed, source: int, sink: int, bound: int) -> bool:
-    from metric_mend.oracle import _hop_distance
-
-    return _hop_distance(n, sorted(edges), frozenset(removed), source, sink) > bound
+def lbcut_feasible(edges, removed, source: int, sink: int, bound: int) -> bool:
+    """Every remaining source-sink path is longer than ``bound`` edges."""
+    return _hop_distances(edges, removed, source).get(sink, bound + 1) > bound
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,9 @@ from metric_mend.solver import ProblemKind, count_nontop, count_top, greedy_solv
 
 import helpers
 
-ORACLE_COMBO_BUDGET = 60_000  # subset evaluations per exact_min_cover call
+# work units per exact_min_cover call: one per cycle-search extension plus one
+# per subset tried
+ORACLE_COMBO_BUDGET = 60_000
 
 
 def _finish(number: int, name: str, failures: list[str], detail: str = "") -> None:
@@ -228,7 +230,7 @@ def test_criterion_5_reduction_optimum_equivalence():
             failures.append(f"multicut[{multicut_checked}]: {len(source)} vs {reduced.size}")
         else:
             mapped = artifact.map_back(reduced.edges)
-            if not helpers.multicut_feasible(n, edges, mapped, demands):
+            if not helpers.multicut_feasible(edges, mapped, demands):
                 failures.append(f"multicut[{multicut_checked}]: back-mapped cover infeasible")
         multicut_checked += 1
 
@@ -248,7 +250,7 @@ def test_criterion_5_reduction_optimum_equivalence():
             failures.append(f"lbcut[{lbcut_checked}]: {len(source)} vs {reduced.size}")
         else:
             mapped = artifact.map_back(reduced.edges)
-            if not helpers.lbcut_feasible(n, edges, mapped, lb.source, lb.sink, bound):
+            if not helpers.lbcut_feasible(edges, mapped, lb.source, lb.sink, bound):
                 failures.append(f"lbcut[{lbcut_checked}]: back-mapped cover infeasible")
         lbcut_checked += 1
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -330,3 +331,24 @@ def test_oversized_reduction_exits_2(capsys, tmp_path):
     assert main(["reduce", "gmvid2gmvd", str(src), "--out", str(out)]) == 2
     assert "16740" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_reduce_summary_builds_no_distance_table(capsys, tmp_path):
+    # unit path 0-1-...-8 plus every longer chord, each heavier than the path:
+    # 28 violating edges x 37 gadget copies + 9 = 1045 output vertices
+    n = 9
+    edges = [(i, i + 1, 1) for i in range(n - 1)]
+    edges += [(u, v, Fraction(100 + u + v, 7)) for u in range(n) for v in range(u + 2, n)]
+    src = tmp_path / "fan.txt"
+    src.write_text(serialize_instance(Graph(n, edges)), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        code, report = run_json(capsys, ["reduce", "gmvid2gmvd", str(src), "--out",
+                                         str(tmp_path / "out.txt"), "--oracle-budget", "0"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert report["instance"] == {"n": 1045, "m": 2108, "deficit": "100/7", "metric": False}
+    # an n x n table of the output alone holds over 10^6 Fractions (58 MiB traced)
+    assert peak < 16 * 2**20

@@ -46,10 +46,6 @@ class TestEnumeration:
         edge_sets = {frozenset(c.edges) for c in inv.cycles}
         assert len(edge_sets) == len(inv.cycles)
 
-    def test_max_len_filter(self, chorded_square):
-        inv = enumerate_unbalanced_cycles(chorded_square, max_len=3)
-        assert len(inv) == 2  # both unbalanced cycles are triangles
-
     def test_budget_fails_fast(self):
         g = helpers.rational_instance(n=8, violations=0, seed=3, density=1.0)
         with pytest.raises(BudgetExceededError):
@@ -143,14 +139,14 @@ class TestBruteCuts:
         edges = [(0, 1), (1, 2), (0, 3), (3, 2), (1, 3)]
         demands = [(0, 2)]
         cut = brute_multicut(4, edges, demands)
-        assert helpers.multicut_feasible(4, edges, cut, demands)
-        assert not helpers.multicut_feasible(4, edges, frozenset(), demands)
+        assert helpers.multicut_feasible(edges, cut, demands)
+        assert not helpers.multicut_feasible(edges, frozenset(), demands)
 
     def test_lbcut_two_paths(self):
         edges = [(0, 1), (1, 2), (0, 3), (3, 4), (4, 2)]
         cut = brute_lbcut(5, edges, 0, 2, 2)
         assert len(cut) == 1
-        assert helpers.lbcut_feasible(5, edges, cut, 0, 2, 2)
+        assert helpers.lbcut_feasible(edges, cut, 0, 2, 2)
 
     def test_lbcut_bound_already_met(self):
         assert brute_lbcut(3, [(0, 1), (1, 2)], 0, 2, 1) == frozenset()

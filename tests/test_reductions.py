@@ -86,7 +86,7 @@ class TestMulticutReduction:
             reduced = exact_min_cover(art.instance, CoverKind.NONTOP)
             assert len(source) == reduced.size
             mapped = art.map_back(reduced.edges)
-            assert helpers.multicut_feasible(n, edges, mapped, demands)
+            assert helpers.multicut_feasible(edges, mapped, demands)
 
 
 class TestLbCutReduction:
@@ -129,7 +129,7 @@ class TestLbCutReduction:
             reduced = exact_min_cover(art.instance, CoverKind.NONTOP)
             assert len(source) == reduced.size
             mapped = art.map_back(reduced.edges)
-            assert helpers.lbcut_feasible(n, edges, mapped, lb.source, lb.sink, bound)
+            assert helpers.lbcut_feasible(edges, mapped, lb.source, lb.sink, bound)
 
 
 class TestGmvidToGmvd:
