@@ -52,7 +52,14 @@ EXIT_INTERNAL = 3
 
 
 def _read_text(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    """A file's UTF-8 text; any other byte is an input error on its line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = data[:exc.start].decode("utf-8")
+        raise InstanceFormatError(f"byte 0x{data[exc.start]:02x} is not UTF-8 text",
+                                  len((before + "x").splitlines())) from None
 
 
 def _oracle_budget(args) -> WorkBudget:

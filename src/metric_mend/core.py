@@ -439,12 +439,6 @@ def graph_deficit(g: Graph, tables: DistanceTables) -> Weight:
     return best
 
 
-def is_metric(g: Graph) -> bool:
-    """True iff every edge weight equals its endpoints' shortest-path distance."""
-    tables = all_pairs_shortest_paths(g, counts=False)
-    return graph_deficit(g, tables) == 0
-
-
 @dataclass(frozen=True)
 class CycleWitness:
     """An explicit unbalanced cycle: top edge, the ordered non-top path, deficit."""
@@ -491,24 +485,31 @@ def find_uncovered_cycle(g: Graph, top_cover: Iterable[Edge],
     """
     a = _check_edge_subset(g, top_cover, "top_cover")
     b = _check_edge_subset(g, nontop_cover, "nontop_cover")
-    runs: dict[int, tuple[list, list]] = {}
-    best: tuple[Weight, Edge] | None = None
-    for (u, v), w in g.edge_items():
+    source = None
+    best: tuple[Weight, Edge, list] | None = None  # deficit, top, its parent row
+    for (u, v), w in g.edge_items():  # sorted: one Dijkstra per lower endpoint
         if (u, v) in a:
             continue
-        if u not in runs:
-            runs[u] = dijkstra(g, u, skip_edges=b)
-        d = runs[u][0][v]
+        if u != source:
+            source = u
+            dist, parent = dijkstra(g, u, skip_edges=b)
+        d = dist[v]
         if d < w:
             deficit = w - d
             if best is None or deficit > best[0]:
-                best = (deficit, (u, v))
+                best = (deficit, (u, v), parent)
     if best is None:
         return None
-    deficit, (u, v) = best
-    vertices = _path_from_parents(runs[u][1], u, v)
+    deficit, (u, v), parent = best
+    vertices = _path_from_parents(parent, u, v)
     nontop = tuple(canonical_edge(x, y) for x, y in zip(vertices, vertices[1:]))
     return CycleWitness(top=(u, v), nontop=nontop, deficit=deficit)
+
+
+def is_metric(g: Graph) -> bool:
+    """True iff every edge weight equals its endpoints' shortest-path distance,
+    that is, no edge is heavier than that distance."""
+    return find_uncovered_cycle(g, (), ()) is None
 
 
 def validate_cover(g: Graph, cover: Iterable[Edge], kind: CoverKind) -> CycleWitness | None:

@@ -6,8 +6,13 @@ applies a safe weight move on one of its covered edges until no unbalanced
 cycle remains.  A move is safe when it creates no unbalanced cycle that
 escapes the (decrease half as top cover, increase half as non-top cover)
 pair, which `find_uncovered_cycle` decides exactly.  Instead of unit steps,
-each move jumps as far as one safety bound certifies, which keeps the number
-of rounds small without changing the contract.
+each move jumps as far as its limit allows, which keeps the number of rounds
+small without changing the contract.  Both limits are closed forms: an
+increase of a non-top edge stops at the shortest path between its endpoints
+that avoids the increase half (one Dijkstra run) or at the deficit, and a
+decrease of the top edge goes straight to balancing the witness cycle, which
+the split invariant makes safe (see `_apply_safe_move`).  The loop runs one
+cycle search per move and none to probe a move.
 """
 
 from __future__ import annotations
@@ -99,33 +104,17 @@ def split_cover(g: Graph, cover: Iterable[Edge]) -> SplitCover:
     return SplitCover(s_plus=frozenset(s_plus), s_minus=frozenset(s_minus))
 
 
-def _integer_scale(g: Graph, scale_hint: int | None) -> tuple[Graph, int]:
-    """``g`` with integer weights and its multiplier: ``scale_hint`` when
-    given and valid, else the least common denominator."""
-    if scale_hint is None:
-        return g.integer_scaled()
-    if scale_hint < 1:
-        raise ValueError("scale_hint must be a positive integer")
-    for (u, v), w in g.edge_items():
-        if (w * scale_hint).denominator != 1:
-            raise ValueError(
-                f"scale_hint {scale_hint} does not clear edge ({u},{v}) weight {w}")
-    return g.scaled(scale_hint), scale_hint
-
-
-def repair_weights(g: Graph, cover, kind: ProblemKind,
-                   scale_hint: int | None = None, *,
+def repair_weights(g: Graph, cover, kind: ProblemKind, *,
                    unit_steps: bool = False) -> RepairOutcome:
     """Adjust cover-edge weights until the graph is metric.
 
     For the increase-only problem ``cover`` is any non-top cover (an edge
     iterable); for the full problem it must be a :class:`SplitCover`.  Weights
-    are scaled to integers by the least common denominator (``scale_hint``
-    may pre-supply a valid multiplier), moves never push a weight above the
-    original maximum L or below 0, and the loop stops at the first metric
-    state rather than driving the cover to the extremes.
+    are scaled to integers by the least common denominator, moves never push
+    a weight above the original maximum L or below 0, and the loop stops at
+    the first metric state rather than driving the cover to the extremes.
 
-    By default each move jumps as far as its safety bound certifies;
+    By default each move jumps as far as its limit allows;
     ``unit_steps`` restricts every move to a single scaled unit, which is
     slower but mirrors the existence argument step for step.
     """
@@ -150,7 +139,7 @@ def repair_weights(g: Graph, cover, kind: ProblemKind,
     else:
         raise ValueError("repair handles the GMVD and GMVID problems")
 
-    work, factor = _integer_scale(g, scale_hint)
+    work, factor = g.integer_scaled()
     cap = max((w for _, w in work.edge_items()), default=0)  # no move may exceed this
     max_moves = (len(s_plus) + len(s_minus)) * cap + 1
     steps = 0
@@ -195,24 +184,17 @@ def _apply_safe_move(work: Graph, witness: CycleWitness, s_plus: frozenset[Edge]
 
     t = witness.top
     if t in s_minus:
+        # lowering t = (x, y) to v >= w_t - deficit, the length of the witness
+        # path P, is always safe here.  No cycle escapes on entry, so a new
+        # escape must run through t as a non-top edge: some f = (a, b) outside
+        # the decrease half with w_f > d(a, x) + v + d(y, b), d taken without
+        # the increase half and t.  The loop above left every increase edge g
+        # on P tight, so some path of length <= w_g < w_t avoiding the increase
+        # half (hence t) stands in for g, giving d(x, y) <= |P| <= v; and since
+        # d(a, b) >= w_f on entry, no such f exists.  The shortest-path limit
+        # of a decrease therefore never binds before the deficit does.
         w_t = work.weight(*t)
-
-        def safe(value: Weight) -> bool:
-            trial = work.with_weight(t, value)
-            return find_uncovered_cycle(trial, s_minus, s_plus) is None
-
-        if safe(w_t - 1):
-            if unit_steps:
-                return work.with_weight(t, w_t - 1)
-            lo = w_t - deficit  # balances the witness cycle; never below 0
-            hi = w_t - 1
-            while lo < hi:  # smallest safe value; safety is monotone upward
-                mid = (lo + hi) // 2
-                if safe(mid):
-                    hi = mid
-                else:
-                    lo = mid + 1
-            return work.with_weight(t, lo)
+        return work.with_weight(t, w_t - 1 if unit_steps else w_t - deficit)
     return None
 
 

@@ -19,6 +19,7 @@ from .core import (
     DistanceTables,
     Edge,
     Graph,
+    INFINITY,
     InternalConsistencyError,
     Weight,
     all_pairs_shortest_paths,
@@ -112,7 +113,8 @@ def count_nontop(g: Graph, tables: DistanceTables, delta: Weight, edge: Edge) ->
     w_e = g.weight(s, t)
     total = 0
     for (a, b), w_f in g.edge_items():
-        if (a, b) == (s, t):
+        # another component: all four distances are unreachable, no cycle
+        if (a, b) == (s, t) or tables.dist(a, s) == INFINITY:
             continue
         if w_f == tables.dist(a, s) + w_e + tables.dist(t, b) + delta:
             total += tables.spcount(a, s) * tables.spcount(t, b)
@@ -150,6 +152,8 @@ def count_report(g: Graph, tables: DistanceTables, delta: Weight,
         # f itself satisfies neither equation, since delta > 0
         for e, w_e in edges:
             s, t = e
+            if dist_a[s] == INFINITY:  # e lies in another component than f
+                continue
             if dist_a[s] + w_e + dist_b[t] == rest:
                 n_nontop[e] += count_a[s] * count_b[t]
             if dist_b[s] + w_e + dist_a[t] == rest:

@@ -17,6 +17,7 @@ from metric_mend.core import (
     INFINITY,
     all_pairs_shortest_paths,
     dijkstra,
+    find_uncovered_cycle,
     graph_deficit,
 )
 
@@ -78,6 +79,28 @@ def brute_shortest_path_counts(g: Graph) -> tuple[list[list], list[list[int]]]:
             if best[s][t] is None:
                 best[s][t] = INFINITY
     return best, count
+
+
+def smallest_safe_decrease(work: Graph, t, deficit, s_plus, s_minus):
+    """The probe-search value of a decrease move on top edge ``t``: the
+    smallest v in [w_t - deficit, w_t - 1] at which no cycle escapes the
+    split (``s_minus`` as tops, ``s_plus`` as non-tops), or None when even
+    w_t - 1 lets one escape.  Safety only grows with v, so a binary search
+    over full cycle searches finds it."""
+    def safe(value) -> bool:
+        return find_uncovered_cycle(work.with_weight(t, value), s_minus, s_plus) is None
+
+    w_t = work.weight(*t)
+    lo, hi = w_t - deficit, w_t - 1
+    if not safe(hi):
+        return None
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if safe(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def _hop_distances(edges, removed, source: int) -> dict[int, int]:

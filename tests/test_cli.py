@@ -268,13 +268,18 @@ class TestOracleBudget:
     (["reduce", "lbcut", "{a}", "--out", "{out}"], {"a": "3 2\n0 1\n1 2\nLB 0 x 1\n"}, 4),
     (["reduce", "lbcut", "{a}", "--out", "{out}"], {"a": "3 2\n0 1\n1 2\nLB 0 1 1\n"}, 4),
     (["check", "{a}", "{b}"], {"a": "3 3\n0 1 1\n1 2 1\n0 2 5\n", "b": "0 2\n# x\n1 5\n"}, 3),
+    (["solve", "{a}"], {"a": b"3 3\n0 1 1\n1 2 1 # caf\xe9\n0 2 5\n"}, 3),
+    (["check", "{a}", "{b}"], {"a": "3 3\n0 1 1\n1 2 1\n0 2 5\n", "b": b"0 2\r\n\xff\r\n"}, 2),
+    (["reduce", "multicut", "{a}", "--out", "{out}"], {"a": b"\xfe3 2\n0 1\n"}, 1),
+    (["oracle", "{a}"], {"a": "3 3\n0 1 1\n1 2 1\n# \u00e9\n0 2 5\n".encode("latin-1")}, 4),
 ], ids=["vertex-cap", "no-vertices", "multicut-negative-m", "lbcut-negative-m",
         "demand-count", "demand-token", "demand-on-edge", "lb-token", "lb-on-edge",
-        "cover-non-edge"])
+        "cover-non-edge", "instance-not-utf8", "cover-not-utf8", "source-not-utf8",
+        "oracle-not-utf8"])
 def test_file_errors_exit_2_with_line(capsys, tmp_path, argv, files, line):
     paths = {"out": str(tmp_path / "out.txt")}
     for name, text in files.items():
-        (tmp_path / name).write_text(text, encoding="utf-8")
+        (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode())
         paths[name] = str(tmp_path / name)
     assert main([a.format(**paths) for a in argv]) == 2
     assert f"line {line}:" in capsys.readouterr().err
@@ -322,6 +327,15 @@ def test_pipeline_is_scale_invariant(kind):
         assert scaled.verdicts == base.verdicts and base.verdicts["all_ok"]
         fractional_outputs += any(new.denominator > 1 for _, new in base.changed.values())
     assert fractional_outputs  # some repaired weight stays non-integral after unscaling
+
+
+@pytest.mark.parametrize("kind", list(ProblemKind))
+def test_pipeline_keeps_huge_weights_out_of_float_range(kind):
+    # the common denominator 10^310 scales the lone edge (3, 4) past every
+    # float; a distance across components must never be added to it
+    d = 10**310
+    g = parse_instance(f"5 4\n0 1 1/{d}\n1 2 1/{d}\n0 2 5/{d}\n3 4 1\n")
+    assert run_pipeline(g, kind, repair=True).verdicts["all_ok"] is True
 
 
 def test_oversized_reduction_exits_2(capsys, tmp_path):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -199,7 +201,6 @@ class TestUncoveredCycle:
             find_uncovered_cycle(k3, {(0, 7)}, ())
 
     def test_agrees_with_oracle_escape_search(self):
-        import random
         rng = random.Random(4242)
         for idx in range(40):
             g = helpers.rational_instance(n=4 + idx % 3, violations=idx % 4, seed=2000 + idx)
@@ -216,6 +217,24 @@ class TestUncoveredCycle:
                 helpers.verify_witness(g, witness)
                 assert witness.top not in a
                 assert not (set(witness.nontop) & b)
+
+    def test_memory_stays_linear_on_a_large_graph(self):
+        rng = random.Random(1000)
+        n, m = 1000, 2995
+        pairs = {(rng.randrange(i), i) for i in range(1, n)}  # a spanning tree
+        while len(pairs) < m:
+            pairs.add(tuple(sorted(rng.sample(range(n), 2))))
+        g = Graph(n, [(u, v, rng.randint(1, 100)) for u, v in sorted(pairs)])
+        tracemalloc.start()
+        try:
+            w = find_uncovered_cycle(g, (), ())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (w.top, w.nontop, w.deficit) == ((178, 385), ((178, 313), (313, 385)), 89)
+        # keeping every source's distance and parent rows until the end holds
+        # an n x n table (about 13 MiB traced); one row pair at a time is O(n)
+        assert peak < 4 * 2**20
 
 
 class TestValidateCover:

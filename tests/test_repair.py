@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from metric_mend import repair
 from metric_mend.core import (
     CoverKind,
     Graph,
@@ -93,12 +94,35 @@ class TestRepairWeights:
         with pytest.raises(TypeError):
             repair_weights(k3, [(0, 1)], ProblemKind.GMVD)
 
-    def test_scale_hint_checked(self, k3):
-        out = repair_weights(k3, [(0, 1)], ProblemKind.GMVID, scale_hint=3)
-        assert is_metric(out.graph)
-        g = Graph(3, [(0, 1, Fraction(1, 2)), (1, 2, 1), (0, 2, 5)])
-        with pytest.raises(ValueError, match="scale_hint"):
-            repair_weights(g, [(0, 1)], ProblemKind.GMVID, scale_hint=3)
+    def test_decrease_moves_match_the_probe_search(self, monkeypatch, corpus):
+        original = repair._apply_safe_move
+        decreases = blocked = 0
+
+        def checked(work, witness, s_plus, s_minus, unit_steps):
+            nonlocal decreases, blocked
+            moved = original(work, witness, s_plus, s_minus, unit_steps)
+            t = witness.top
+            if t in s_minus and (moved is None or moved.weight(*t) != work.weight(*t)):
+                expected = helpers.smallest_safe_decrease(work, t, witness.deficit,
+                                                          s_plus, s_minus)
+                assert (None if moved is None else moved.weight(*t)) == expected
+                decreases += 1
+                blocked += bool(set(witness.nontop) & s_plus)  # no increase was open
+            return moved
+
+        monkeypatch.setattr(repair, "_apply_safe_move", checked)
+        rng = random.Random(61)
+        for entry in corpus:
+            g = entry.graph
+            splits = [split_cover(g, greedy_solve(g, ProblemKind.GMVD).edges)]
+            for _ in range(3):  # random splits also block increases on the witness path
+                plus = frozenset(e for e in g.edges() if rng.random() < 0.4)
+                minus = frozenset(e for e in g.edges() if e not in plus and rng.random() < 0.5)
+                if find_uncovered_cycle(g, minus, plus) is None:
+                    splits.append(SplitCover(s_plus=plus, s_minus=minus))
+            for split in splits:
+                repair_weights(g, split, ProblemKind.GMVD)
+        assert decreases > 200 and blocked > 10
 
     def test_rational_weights_scale_and_restore(self):
         g = Graph(3, [(0, 1, Fraction(1, 3)), (1, 2, Fraction(1, 2)), (0, 2, Fraction(7, 2))])
