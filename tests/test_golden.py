@@ -4,7 +4,9 @@ Each run is reduced to the canonical JSON of its result (timings left out)
 and hashed with SHA-256; ``tests/data/golden_pipeline.json`` holds the
 digests.  A change that keeps every cover, tie-break, split, repaired weight
 and verdict passes unchanged; one that moves any output names the runs it
-moved.  After a deliberate output change, rewrite the fixture with
+moved.  ``tests/data/golden_pipeline_large.json`` does the same for a few
+larger instances (n in [24, 64]).  After a deliberate output change, rewrite
+both fixtures with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -25,6 +27,7 @@ from metric_mend.solver import ProblemKind, greedy_solve
 import helpers
 
 FIXTURE = Path(__file__).parent / "data" / "golden_pipeline.json"
+LARGE_FIXTURE = Path(__file__).parent / "data" / "golden_pipeline_large.json"
 KINDS = (ProblemKind.GMVD, ProblemKind.GMVID, ProblemKind.GMVDD)
 
 
@@ -45,6 +48,20 @@ def golden_instances() -> list[tuple[str, Graph]]:
         else:
             g = helpers.rational_instance(n, violations, seed, density)
         out.append((f"{('int', 'decimal', 'rational')[style]}[{i}]", g))
+    return out
+
+
+def large_instances() -> list[tuple[str, Graph]]:
+    """8 seeded sparse instances, n in [24, 64], alternating integer and
+    six-decimal weights, with 3-6 planted violations."""
+    out = []
+    for i in range(8):
+        n = 24 + 40 * i // 7
+        if i % 2 == 0:
+            out.append((f"int[{i}]", gen_random(n, 0.15, 12, 3 + i % 4, 33_000 + i)))
+        else:
+            g = gen_random(n, 0.15, 20 * 10**6, 3 + i % 4, 33_000 + i)
+            out.append((f"decimal[{i}]", g.scaled(Fraction(1, 10**6))))
     return out
 
 
@@ -91,25 +108,39 @@ def digest(record: dict) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def pipeline_digests(instances: list[tuple[str, Graph]]) -> dict[str, str]:
+    return {f"{name}/{kind.value}": digest(pipeline_record(g, kind))
+            for name, g in instances for kind in KINDS}
+
+
 def golden_digests() -> dict[str, str]:
-    out = {}
-    for name, g in golden_instances():
-        for kind in KINDS:
-            out[f"{name}/{kind.value}"] = digest(pipeline_record(g, kind))
+    out = pipeline_digests(golden_instances())
     for name, g in unit_step_instances():
         out[f"{name}/gmvd-unit"] = digest(unit_step_record(g))
     return out
 
 
-def test_outputs_match_golden_digests():
-    expected = json.loads(FIXTURE.read_text(encoding="utf-8"))
-    actual = golden_digests()
+def large_digests() -> dict[str, str]:
+    return pipeline_digests(large_instances())
+
+
+def assert_matches(fixture: Path, actual: dict[str, str]) -> None:
+    expected = json.loads(fixture.read_text(encoding="utf-8"))
     assert sorted(actual) == sorted(expected)
     moved = [name for name in expected if actual[name] != expected[name]]
     assert not moved, f"{len(moved)} outputs moved, first {moved[:5]}"
 
 
+def test_outputs_match_golden_digests():
+    assert_matches(FIXTURE, golden_digests())
+
+
+def test_large_outputs_match_golden_digests():
+    assert_matches(LARGE_FIXTURE, large_digests())
+
+
 if __name__ == "__main__":
     FIXTURE.parent.mkdir(exist_ok=True)
-    FIXTURE.write_text(json.dumps(golden_digests(), indent=1, sort_keys=True) + "\n",
-                       encoding="utf-8")
+    for fixture, digests in ((FIXTURE, golden_digests()), (LARGE_FIXTURE, large_digests())):
+        fixture.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n",
+                           encoding="utf-8")
