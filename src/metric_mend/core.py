@@ -63,8 +63,9 @@ class Graph:
     Immutable after construction; the "mutators" (:meth:`with_weight`,
     :meth:`without_edge`, :meth:`scaled`) return new graphs.  Input weights
     must be strictly positive; zero weights are tolerated only when
-    ``allow_zero`` is set, which the repair machinery uses for transient
-    states.
+    ``allow_zero`` is set, which the mutators do by default.  The repair
+    never sets a weight to zero; ``repair.lift_zero_edges`` accepts a graph
+    that has some.
     """
 
     __slots__ = ("n", "_weights", "_adj")
@@ -383,10 +384,6 @@ class DistanceTables:
         if self._count is None:
             raise ValueError("tables were built without path counts")
         return self._dist[u], self._count[u]
-
-    @property
-    def has_counts(self) -> bool:
-        return self._count is not None
 
 
 def all_pairs_shortest_paths(g: Graph, *, counts: bool = True) -> DistanceTables:

@@ -23,7 +23,7 @@ from .core import (
     dijkstra,
     graph_deficit,
 )
-from .solver import ProblemKind
+from .solver import ProblemKind, solve_decrease_only
 
 
 def _check_simple_edges(n: int, edges: Iterable[Edge]) -> tuple[Edge, ...]:
@@ -159,7 +159,7 @@ def gmvid_to_gmvd(g: Graph) -> ReductionArtifact:
     before anything is built.
     """
     tables = all_pairs_shortest_paths(g, counts=False)
-    tops = [(u, v) for (u, v), w in g.edge_items() if w > tables.dist(u, v)]
+    tops = sorted(solve_decrease_only(g, tables))
     if not tops:
         return ReductionArtifact(instance=g, kind=ProblemKind.GMVD,
                                  back_map={e: e for e in g.edges()},

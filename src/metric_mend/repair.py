@@ -1,7 +1,8 @@
 """Turn a validated cover into an actual metric graph.
 
 A regular cover is first partitioned into increase-only and decrease-only
-halves; the adjustment loop then repeatedly picks an unbalanced cycle and
+halves by one Dijkstra run per cover edge and one confirming cycle search;
+the adjustment loop then repeatedly picks an unbalanced cycle and
 applies a safe weight move on one of its covered edges until no unbalanced
 cycle remains.  A move is safe when it creates no unbalanced cycle that
 escapes the (decrease half as top cover, increase half as non-top cover)
@@ -76,32 +77,31 @@ def split_cover(g: Graph, cover: Iterable[Edge]) -> SplitCover:
     """Partition a regular cover so every unbalanced cycle is non-top covered
     by the plus half or top covered by the minus half.
 
-    Edges are assigned one at a time: candidate b goes to the plus half if
-    that keeps every unbalanced cycle covered with the still-unassigned edges
-    counted on both sides, otherwise to the minus half under the symmetric
-    test.  One of the two cases always holds for a valid regular cover; both
-    failing would contradict the split guarantee and raises.
+    Edges are placed one at a time in sorted order.  Before b is placed, no
+    cycle escapes with the minus half and the unplaced edges exempt as tops
+    and ``cover - s_minus`` blocked as non-tops; the upfront cover check makes
+    this hold at the start.  Placing b in the plus half stops exempting b and
+    nothing else, so it lets a cycle escape exactly when one topped by b
+    avoids ``cover - s_minus``: when d(x, y) < w_b for b = (x, y) in the graph
+    without those edges, which one Dijkstra run decides.  Then b goes to the
+    minus half, which the split lemma guarantees fits.  The exempt and blocked
+    sets only shrink as the loop runs, so a cycle that escapes after any step
+    still escapes at the end, and one final cycle search checks every step.
     """
     cover_set = frozenset(canonical_edge(*e) for e in cover)
     witness = validate_cover(g, cover_set, CoverKind.REGULAR)
     if witness is not None:
         raise CoverInvalidError("not a regular cover", witness)
-    s_plus: set[Edge] = set()
     s_minus: set[Edge] = set()
-    remaining = set(cover_set)
-    for b in sorted(cover_set):
-        remaining.discard(b)
-        rest = frozenset(remaining)
-        if find_uncovered_cycle(g, frozenset(s_minus) | rest,
-                                frozenset(s_plus) | {b} | rest) is None:
-            s_plus.add(b)
-        elif find_uncovered_cycle(g, frozenset(s_minus) | {b} | rest,
-                                  frozenset(s_plus) | rest) is None:
-            s_minus.add(b)
-        else:
-            raise InternalConsistencyError(
-                f"edge {b} fits neither half of the split")
-    return SplitCover(s_plus=frozenset(s_plus), s_minus=frozenset(s_minus))
+    for x, y in sorted(cover_set):
+        dist, _ = dijkstra(g, x, skip_edges=cover_set - s_minus)
+        if dist[y] < g.weight(x, y):
+            s_minus.add((x, y))
+    split = SplitCover(s_plus=cover_set - s_minus, s_minus=frozenset(s_minus))
+    witness = find_uncovered_cycle(g, split.s_minus, split.s_plus)
+    if witness is not None:
+        raise InternalConsistencyError(f"split leaves a cycle uncovered: {witness}")
+    return split
 
 
 def repair_weights(g: Graph, cover, kind: ProblemKind, *,

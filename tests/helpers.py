@@ -13,13 +13,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from metric_mend.core import (
+    CoverKind,
     Graph,
     INFINITY,
+    InternalConsistencyError,
     all_pairs_shortest_paths,
+    canonical_edge,
     dijkstra,
     find_uncovered_cycle,
     graph_deficit,
+    validate_cover,
 )
+from metric_mend.repair import CoverInvalidError, SplitCover
 
 # Registry filled by the acceptance suite and printed in the terminal summary.
 ACCEPTANCE_RESULTS: list[tuple[int, str, bool, str]] = []
@@ -101,6 +106,33 @@ def smallest_safe_decrease(work: Graph, t, deficit, s_plus, s_minus):
         else:
             lo = mid + 1
     return lo
+
+
+def two_probe_split(g: Graph, cover) -> SplitCover:
+    """The two-probe split: edges are assigned one at a time, candidate b
+    going to the plus half if that keeps every unbalanced cycle covered with
+    the still-unassigned edges counted on both sides, otherwise to the minus
+    half under the symmetric test.  Up to two full cycle searches per edge."""
+    cover_set = frozenset(canonical_edge(*e) for e in cover)
+    witness = validate_cover(g, cover_set, CoverKind.REGULAR)
+    if witness is not None:
+        raise CoverInvalidError("not a regular cover", witness)
+    s_plus: set = set()
+    s_minus: set = set()
+    remaining = set(cover_set)
+    for b in sorted(cover_set):
+        remaining.discard(b)
+        rest = frozenset(remaining)
+        if find_uncovered_cycle(g, frozenset(s_minus) | rest,
+                                frozenset(s_plus) | {b} | rest) is None:
+            s_plus.add(b)
+        elif find_uncovered_cycle(g, frozenset(s_minus) | {b} | rest,
+                                  frozenset(s_plus) | rest) is None:
+            s_minus.add(b)
+        else:
+            raise InternalConsistencyError(
+                f"edge {b} fits neither half of the split")
+    return SplitCover(s_plus=frozenset(s_plus), s_minus=frozenset(s_minus))
 
 
 def _hop_distances(edges, removed, source: int) -> dict[int, int]:

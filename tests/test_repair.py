@@ -7,8 +7,10 @@ import pytest
 
 from metric_mend import repair
 from metric_mend.core import (
+    INFINITY,
     CoverKind,
     Graph,
+    InternalConsistencyError,
     find_uncovered_cycle,
     is_metric,
     validate_cover,
@@ -48,16 +50,49 @@ class TestSplitCover:
             split_cover(k3, ())
         assert err.value.witness is not None
 
-    def test_invariant_on_random_covers(self):
+    def test_invariant_on_random_covers(self, corpus):
+        """Valid covers split so no cycle escapes, and every cover, invalid
+        ones included, splits exactly as the two-probe reference does."""
         rng = random.Random(60)
+        inputs = []
         for idx in range(25):
             g = helpers.rational_instance(n=4 + idx % 4, violations=idx % 4, seed=7000 + idx)
             base = exact_min_cover(g, CoverKind.REGULAR).edges
             extra = [e for e in g.edges() if rng.random() < 0.2]
-            cover = frozenset(base) | frozenset(extra)
-            split = split_cover(g, cover)
+            inputs.append((g, frozenset(base) | frozenset(extra)))
+        for entry in corpus:
+            g = entry.graph
+            greedy = greedy_solve(g, ProblemKind.GMVD).edge_set
+            inputs.append((g, greedy))
+            inputs.extend((g, greedy | {e for e in g.edges() if rng.random() < 0.3})
+                          for _ in range(3))
+            if greedy:  # one edge short of the greedy cover: mostly invalid
+                inputs.append((g, greedy - {min(greedy)}))
+
+        def outcome(split, g, cover):
+            try:
+                return split(g, cover)
+            except CoverInvalidError as exc:
+                return str(exc)
+
+        invalid = 0
+        for g, cover in inputs:
+            split = outcome(split_cover, g, cover)
+            assert split == outcome(helpers.two_probe_split, g, cover)
+            if isinstance(split, str):
+                invalid += 1
+                continue
             assert split.s_plus | split.s_minus == cover
             assert find_uncovered_cycle(g, split.s_minus, split.s_plus) is None
+        assert invalid > 100
+
+    def test_final_check_catches_a_wrong_split(self, monkeypatch, k3):
+        """Forcing every edge into the plus half leaves the heavy chord's
+        cycle uncovered, which the final search must report."""
+        monkeypatch.setattr(repair, "dijkstra",
+                            lambda g, source, skip_edges: ([INFINITY] * g.n, [None] * g.n))
+        with pytest.raises(InternalConsistencyError, match="uncovered"):
+            split_cover(k3, {(0, 2)})
 
     def test_disjointness_enforced(self):
         with pytest.raises(ValueError):
@@ -101,6 +136,7 @@ class TestRepairWeights:
         def checked(work, witness, s_plus, s_minus, unit_steps):
             nonlocal decreases, blocked
             moved = original(work, witness, s_plus, s_minus, unit_steps)
+            assert moved is None or not moved.has_zero_weight()  # repair never makes a 0
             t = witness.top
             if t in s_minus and (moved is None or moved.weight(*t) != work.weight(*t)):
                 expected = helpers.smallest_safe_decrease(work, t, witness.deficit,
@@ -176,7 +212,7 @@ class TestUnitStepVariant:
                 assert is_metric(out.graph)
                 assert set(out.changed) <= set(cover)
                 for e, (old, new) in out.changed.items():
-                    assert 0 <= new <= cap
+                    assert 0 < new <= cap  # a jump stops at |P| > 0; a unit step lowers w >= 2
                     assert (new > old) == (e in split.s_plus)
 
 
