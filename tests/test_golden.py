@@ -120,10 +120,6 @@ def golden_digests() -> dict[str, str]:
     return out
 
 
-def large_digests() -> dict[str, str]:
-    return pipeline_digests(large_instances())
-
-
 def assert_matches(fixture: Path, actual: dict[str, str]) -> None:
     expected = json.loads(fixture.read_text(encoding="utf-8"))
     assert sorted(actual) == sorted(expected)
@@ -136,11 +132,12 @@ def test_outputs_match_golden_digests():
 
 
 def test_large_outputs_match_golden_digests():
-    assert_matches(LARGE_FIXTURE, large_digests())
+    assert_matches(LARGE_FIXTURE, pipeline_digests(large_instances()))
 
 
 if __name__ == "__main__":
     FIXTURE.parent.mkdir(exist_ok=True)
-    for fixture, digests in ((FIXTURE, golden_digests()), (LARGE_FIXTURE, large_digests())):
+    for fixture, digests in ((FIXTURE, golden_digests()),
+                             (LARGE_FIXTURE, pipeline_digests(large_instances()))):
         fixture.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n",
                            encoding="utf-8")
