@@ -2,8 +2,10 @@
 
 Every command re-verifies its own output before reporting success, and
 reports are emitted either as human-readable text or as JSON (``--format
-machine``).  Exit codes: 0 verified success, 1 negative verdict, 2 input
-error (a file, a parameter or an oracle budget), 3 any internal failure.
+machine``).  ``solve`` and ``bench`` format what :func:`run_pipeline`, the
+one solve -> split -> repair -> verify chain, returns.  Exit codes: 0
+verified success, 1 negative verdict, 2 input error (a file, a parameter or
+an oracle budget), 3 any internal failure.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .oracle import (
     enumerate_unbalanced_cycles,
     exact_min_cover,
 )
-from .repair import SplitCover, lift_zero_edges, repair_weights, split_cover
+from .repair import SplitCover, repair_weights, split_cover
 from .solver import ProblemKind, Role, greedy_solve, solve_decrease_only
 
 EXIT_OK = 0
@@ -111,7 +113,7 @@ def _instance_summary(g: Graph, path: str | None = None,
 
 @dataclass(frozen=True)
 class PipelineResult:
-    """Everything one solve -> split -> repair -> lift -> verify run produces."""
+    """Everything one solve -> split -> repair -> verify run produces."""
 
     cover: tuple[Edge, ...]
     roles: tuple[Role, ...]
@@ -120,22 +122,24 @@ class PipelineResult:
     final: Graph | None             # the repaired graph, None without repair
     steps: int                      # repair moves
     changed: dict[Edge, tuple[Weight, Weight]]  # edge -> (input weight, final weight)
-    unresolved_zeros: tuple[Edge, ...]
+    unresolved_zeros: tuple[Edge, ...]  # zero-weight edges of the final graph
     deficit: Weight                 # the input graph's maximum cycle deficit
     verdicts: dict[str, bool]
     timings: dict[str, float]
 
 
 def run_pipeline(g: Graph, kind: ProblemKind, *, repair: bool) -> PipelineResult:
-    """Solve, then with ``repair`` split, repair and lift, then verify.
+    """Solve, then with ``repair`` split and repair, then verify.
 
     gmvd and gmvid use the greedy cover, whose first layer is the input's
-    deficit; gmvdd uses one distance table to pick the exact cover, repair
-    it and report the deficit.  Every stage, the verdicts included, runs on
-    ``g`` scaled to integer weights by the least common denominator L, whose
-    sums and comparisons are those of ``g`` times L; deficits and weights are
+    deficit; gmvd splits it and gmvid repairs it as an increase-only half.
+    gmvdd uses one distance table to pick the exact cover, repair it and
+    report the deficit.  Every stage, the verdicts included, runs on ``g``
+    scaled to integer weights by the least common denominator L, whose sums
+    and comparisons are those of ``g`` times L; deficits and weights are
     divided by L exactly on the way out.  The verdicts are recomputed from
-    the outputs themselves.
+    the outputs themselves.  The repair creates no zero weight and nothing
+    lifts one afterwards, so a zero in the final graph fails verification.
     """
     t0 = time.perf_counter()
     gs, scale = g.integer_scaled()
@@ -151,33 +155,32 @@ def run_pipeline(g: Graph, kind: ProblemKind, *, repair: bool) -> PipelineResult
         deficit = layers[0] if layers else 0
     t1 = time.perf_counter()
 
-    split = adjusted = final = None
+    split = final = None
     steps = 0
-    unresolved: tuple[Edge, ...] = ()
     if repair:
         if kind is ProblemKind.GMVDD:
             chosen = set(cover)
-            adjusted = final = Graph(gs.n, [(u, v, tables.dist(u, v) if (u, v) in chosen else w)
-                                            for (u, v), w in gs.edge_items()])
+            final = Graph(gs.n, [(u, v, tables.dist(u, v) if (u, v) in chosen else w)
+                                 for (u, v), w in gs.edge_items()])
             steps = len(cover)
         else:
             if kind is ProblemKind.GMVD:
                 split = split_cover(gs, cover)
                 roles = tuple(Role.INCREASE if e in split.s_plus else Role.DECREASE
                               for e in cover)
-                outcome = repair_weights(gs, split, kind)
+                outcome = repair_weights(gs, split)
             else:
-                outcome = repair_weights(gs, cover, kind)
-            adjusted = outcome.graph
-            lifted = lift_zero_edges(adjusted)
-            final, steps = lifted.graph, outcome.steps
-            unresolved = tuple(sorted(lifted.unresolved))
+                outcome = repair_weights(
+                    gs, SplitCover(s_plus=frozenset(cover), s_minus=frozenset()))
+            final, steps = outcome.graph, outcome.steps
+    unresolved = () if final is None else tuple(sorted(
+        e for e, w in final.edge_items() if w == 0))
     unscaled = None if final is None else final.scaled(Fraction(1, scale))
     changed = {} if unscaled is None else {
         e: (w, unscaled.weight(*e)) for e, w in g.edge_items() if unscaled.weight(*e) != w}
     t2 = time.perf_counter()
 
-    verdicts = _verdicts(gs, kind, cover, roles, adjusted, final)
+    verdicts = _verdicts(gs, kind, cover, roles, final)
     t3 = time.perf_counter()
     return PipelineResult(cover=cover, roles=roles,
                           layer_deficits=tuple(Fraction(d, scale) for d in layers),
@@ -189,26 +192,26 @@ def run_pipeline(g: Graph, kind: ProblemKind, *, repair: bool) -> PipelineResult
 
 
 def _verdicts(g: Graph, kind: ProblemKind, cover: tuple[Edge, ...], roles: tuple[Role, ...],
-              adjusted: Graph | None, final: Graph | None) -> dict[str, bool]:
+              final: Graph | None) -> dict[str, bool]:
     """Recompute every verdict from the outputs themselves.
 
     The weight-edit contract (only cover edges move, per-role monotonicity,
-    nothing above the original maximum or below zero) is judged on the
-    adjusted graph, before zero-weight edges are lifted back to positive
-    values; the metric property is judged on the final graph.
+    every changed weight in (0, L] for the original maximum L) and the
+    metric property are judged on the final graph.  A zero weight is not a
+    valid output: the instance format rejects it on read-back.
     """
     verdicts = {"cover_valid": validate_cover(g, cover, kind.cover_kind) is None}
-    if adjusted is not None:
+    if final is not None:
         role_of = dict(zip(cover, roles))
         cap = max((w for _, w in g.edge_items()), default=0)
         only_cover = monotone = bounded = True
-        for (u, v), w_new in adjusted.edge_items():
+        for (u, v), w_new in final.edge_items():
             w_old = g.weight(u, v)
             if w_new == w_old:
                 continue
             if (u, v) not in role_of:
                 only_cover = False
-            if not 0 <= w_new <= cap:
+            if not 0 < w_new <= cap:
                 bounded = False
             role = role_of.get((u, v), Role.UNASSIGNED)
             if not (role is Role.INCREASE and w_new > w_old
@@ -225,6 +228,8 @@ def _verdicts(g: Graph, kind: ProblemKind, cover: tuple[Edge, ...], roles: tuple
 
 
 def cmd_solve(args) -> int:
+    if args.out and not args.repair:
+        raise InstanceFormatError("--out writes the repaired instance and needs --repair")
     t0 = time.perf_counter()
     g = parse_instance(_read_text(args.instance))
     kind = ProblemKind(args.kind)
@@ -448,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("gmvd", "gmvid", "gmvdd"), default="gmvd")
     p.add_argument("--repair", action="store_true",
                    help="also rewrite the cover edges' weights to reach a metric graph")
-    p.add_argument("--out", help="write the repaired instance here")
+    p.add_argument("--out", help="write the repaired instance here (needs --repair)")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("check", parents=[common], help="validate a cover file")

@@ -1,7 +1,8 @@
 """Turn a validated cover into an actual metric graph.
 
 A regular cover is first partitioned into increase-only and decrease-only
-halves by one Dijkstra run per cover edge and one confirming cycle search;
+halves by one Dijkstra run per cover edge and one confirming cycle search (a
+non-top cover is already an increase half, with an empty decrease half);
 the adjustment loop then repeatedly picks an unbalanced cycle and
 applies a safe weight move on one of its covered edges until no unbalanced
 cycle remains.  A move is safe when it creates no unbalanced cycle that
@@ -104,40 +105,26 @@ def split_cover(g: Graph, cover: Iterable[Edge]) -> SplitCover:
     return split
 
 
-def repair_weights(g: Graph, cover, kind: ProblemKind, *,
+def repair_weights(g: Graph, split: SplitCover, *,
                    unit_steps: bool = False) -> RepairOutcome:
     """Adjust cover-edge weights until the graph is metric.
 
-    For the increase-only problem ``cover`` is any non-top cover (an edge
-    iterable); for the full problem it must be a :class:`SplitCover`.  Weights
-    are scaled to integers by the least common denominator, moves never push
-    a weight above the original maximum L or below 0, and the loop stops at
-    the first metric state rather than driving the cover to the extremes.
+    ``split`` gives the edges that may only rise (``s_plus``) and those that
+    may only fall (``s_minus``); for the full problem it comes from
+    :func:`split_cover`, and the increase-only problem is the same repair
+    with an empty decrease half.  Weights are scaled to integers by the least
+    common denominator, moves never push a weight above the original maximum
+    L and never reach 0, and the loop stops at the first metric state rather
+    than driving the cover to the extremes.
 
     By default each move jumps as far as its limit allows;
     ``unit_steps`` restricts every move to a single scaled unit, which is
     slower but mirrors the existence argument step for step.
     """
-    if kind is ProblemKind.GMVID:
-        if isinstance(cover, SplitCover):
-            if cover.s_minus:
-                raise ValueError("increase-only repair cannot take a decrease half")
-            s_plus, s_minus = cover.s_plus, frozenset()
-        else:
-            s_plus = frozenset(canonical_edge(*e) for e in cover)
-            s_minus = frozenset()
-        witness = validate_cover(g, s_plus, CoverKind.NONTOP)
-        if witness is not None:
-            raise CoverInvalidError("not a non-top cover", witness)
-    elif kind is ProblemKind.GMVD:
-        if not isinstance(cover, SplitCover):
-            raise TypeError("full repair requires a SplitCover; run split_cover first")
-        s_plus, s_minus = cover.s_plus, cover.s_minus
-        witness = find_uncovered_cycle(g, s_minus, s_plus)
-        if witness is not None:
-            raise CoverInvalidError("split cover leaves a cycle uncovered", witness)
-    else:
-        raise ValueError("repair handles the GMVD and GMVID problems")
+    s_plus, s_minus = split.s_plus, split.s_minus
+    witness = find_uncovered_cycle(g, s_minus, s_plus)
+    if witness is not None:
+        raise CoverInvalidError("split cover leaves a cycle uncovered", witness)
 
     work, factor = g.integer_scaled()
     cap = max((w for _, w in work.edge_items()), default=0)  # no move may exceed this

@@ -108,6 +108,12 @@ def smallest_safe_decrease(work: Graph, t, deficit, s_plus, s_minus):
     return lo
 
 
+def increase_only(cover) -> SplitCover:
+    """A non-top cover as the split the increase-only repair takes."""
+    return SplitCover(s_plus=frozenset(canonical_edge(*e) for e in cover),
+                      s_minus=frozenset())
+
+
 def two_probe_split(g: Graph, cover) -> SplitCover:
     """The two-probe split: edges are assigned one at a time, candidate b
     going to the plus half if that keeps every unbalanced cycle covered with

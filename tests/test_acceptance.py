@@ -123,10 +123,10 @@ def test_criterion_2_algorithm_validity_and_repair(corpus, greedy_solutions):
                 continue
             if kind is ProblemKind.GMVD:
                 split = split_cover(g, solution.edges)
-                outcome = repair_weights(g, split, kind)
+                outcome = repair_weights(g, split)
             else:
                 split = None
-                outcome = repair_weights(g, solution.edges, kind)
+                outcome = repair_weights(g, helpers.increase_only(solution.edges))
             if not is_metric(outcome.graph):
                 failures.append(f"{entry.name} {kind.value}: repair not metric")
             if not set(outcome.changed) <= set(solution.edges):

@@ -11,6 +11,7 @@ from metric_mend.cli import main, run_pipeline
 from metric_mend.core import (MAX_VERTICES, Graph, all_pairs_shortest_paths, graph_deficit,
                               is_metric, parse_instance, serialize_instance)
 from metric_mend.reductions import gen_random
+from metric_mend.repair import RepairOutcome
 from metric_mend.solver import ProblemKind
 
 import helpers
@@ -78,6 +79,14 @@ class TestSolve:
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["solve", str(tmp_path / "nope.txt")]) == 2
+
+    def test_out_without_repair_exits_2(self, capsys, tmp_path, k3_file):
+        out_path = tmp_path / "fixed.txt"
+        assert main(["solve", k3_file, "--out", str(out_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1 and "--repair" in captured.err
+        assert not out_path.exists()
 
 
 class TestCheck:
@@ -293,6 +302,18 @@ def test_internal_value_error_exits_3_without_traceback(capsys, monkeypatch, k3_
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_zero_weight_from_repair_fails_verification(monkeypatch):
+    # a zero is not a valid output weight, so nothing may lift it out of sight
+    def zeroing(g, *args, **kwargs):
+        return RepairOutcome(graph=g.with_weight((0, 1), 0), changed={}, steps=1)
+    monkeypatch.setattr(metric_mend.cli, "repair_weights", zeroing)
+    g = Graph(3, [(0, 1, 10), (0, 2, 2), (1, 2, 2)])
+    result = run_pipeline(g, ProblemKind.GMVD, repair=True)
+    assert result.unresolved_zeros == ((0, 1),)
+    assert result.verdicts["bounds_respected"] is False
+    assert result.verdicts["all_ok"] is False
 
 
 @pytest.mark.parametrize("kind", list(ProblemKind))

@@ -98,7 +98,7 @@ def pipeline_record(g: Graph, kind: ProblemKind) -> dict:
 
 def unit_step_record(g: Graph) -> dict:
     split = split_cover(g, greedy_solve(g, ProblemKind.GMVD).edges)
-    out = repair_weights(g, split, ProblemKind.GMVD, unit_steps=True)
+    out = repair_weights(g, split, unit_steps=True)
     return {"final": serialize_instance(out.graph), "changed": _changed(out.changed),
             "steps": out.steps}
 

@@ -101,7 +101,7 @@ class TestSplitCover:
 
 class TestRepairWeights:
     def test_increase_only_trace(self, k3):
-        out = repair_weights(k3, [(0, 1)], ProblemKind.GMVID)
+        out = repair_weights(k3, helpers.increase_only([(0, 1)]))
         assert out.graph.weight(0, 1) == 4
         assert out.graph.weight(1, 2) == 1
         assert out.graph.weight(0, 2) == 5
@@ -110,24 +110,20 @@ class TestRepairWeights:
 
     def test_decrease_trace(self, k3):
         split = SplitCover(s_plus=frozenset(), s_minus=frozenset({(0, 2)}))
-        out = repair_weights(k3, split, ProblemKind.GMVD)
+        out = repair_weights(k3, split)
         assert out.graph.weight(0, 2) == 2
         assert is_metric(out.graph)
 
     def test_metric_graph_changes_nothing(self):
         g = Graph(3, [(0, 1, 1), (1, 2, 1), (0, 2, 2)])
-        out = repair_weights(g, [(0, 1)], ProblemKind.GMVID)
+        out = repair_weights(g, helpers.increase_only([(0, 1)]))
         assert out.steps == 0
         assert out.changed == {}
         assert out.graph == g
 
     def test_rejects_invalid_cover(self, k3):
         with pytest.raises(CoverInvalidError):
-            repair_weights(k3, [(0, 2)], ProblemKind.GMVID)
-
-    def test_gmvd_requires_split(self, k3):
-        with pytest.raises(TypeError):
-            repair_weights(k3, [(0, 1)], ProblemKind.GMVD)
+            repair_weights(k3, helpers.increase_only([(0, 2)]))
 
     def test_decrease_moves_match_the_probe_search(self, monkeypatch, corpus):
         original = repair._apply_safe_move
@@ -157,12 +153,12 @@ class TestRepairWeights:
                 if find_uncovered_cycle(g, minus, plus) is None:
                     splits.append(SplitCover(s_plus=plus, s_minus=minus))
             for split in splits:
-                repair_weights(g, split, ProblemKind.GMVD)
+                repair_weights(g, split)
         assert decreases > 200 and blocked > 10
 
     def test_rational_weights_scale_and_restore(self):
         g = Graph(3, [(0, 1, Fraction(1, 3)), (1, 2, Fraction(1, 2)), (0, 2, Fraction(7, 2))])
-        out = repair_weights(g, [(0, 1), (1, 2)], ProblemKind.GMVID)
+        out = repair_weights(g, helpers.increase_only([(0, 1), (1, 2)]))
         assert is_metric(out.graph)
         for e, (old, new) in out.changed.items():
             assert new > old
@@ -173,7 +169,7 @@ class TestRepairWeights:
             cap = max(w for _, w in g.edge_items())
             gd = greedy_solve(g, ProblemKind.GMVD)
             split = split_cover(g, gd.edges)
-            out = repair_weights(g, split, ProblemKind.GMVD)
+            out = repair_weights(g, split)
             assert is_metric(out.graph)
             assert set(out.changed) <= set(gd.edges)
             for e, (old, new) in out.changed.items():
@@ -186,7 +182,7 @@ class TestRepairWeights:
                 if (u, v) not in out.changed:
                     assert w == g.weight(u, v)
             gi = greedy_solve(g, ProblemKind.GMVID)
-            out = repair_weights(g, gi.edges, ProblemKind.GMVID)
+            out = repair_weights(g, helpers.increase_only(gi.edges))
             assert is_metric(out.graph)
             assert all(new >= old for old, new in out.changed.values())
             assert all(new <= cap for _, new in out.changed.values())
@@ -194,7 +190,7 @@ class TestRepairWeights:
 
 class TestUnitStepVariant:
     def test_unit_trace(self, k3):
-        out = repair_weights(k3, [(0, 1)], ProblemKind.GMVID, unit_steps=True)
+        out = repair_weights(k3, helpers.increase_only([(0, 1)]), unit_steps=True)
         assert out.graph.weight(0, 1) == 4
         assert out.steps == 3  # one scaled unit per round
 
@@ -205,7 +201,7 @@ class TestUnitStepVariant:
             cap = max(w for _, w in g.edge_items())
             cover = greedy_solve(g, ProblemKind.GMVD).edges
             split = split_cover(g, cover)
-            outcomes = [repair_weights(g, split, ProblemKind.GMVD, unit_steps=flag)
+            outcomes = [repair_weights(g, split, unit_steps=flag)
                         for flag in (False, True)]
             assert outcomes[0].steps <= outcomes[1].steps
             for out in outcomes:
@@ -312,7 +308,7 @@ class TestEndToEnd:
                                           seed=11_000 + idx)
             solution = greedy_solve(g, ProblemKind.GMVD)
             split = split_cover(g, solution.edges)
-            out = repair_weights(g, split, ProblemKind.GMVD)
+            out = repair_weights(g, split)
             lifted = lift_zero_edges(out.graph)
             assert is_metric(lifted.graph)
             assert not lifted.graph.has_zero_weight() or lifted.unresolved
