@@ -256,7 +256,7 @@ def cmd_solve(args) -> int:
                         for e, (old, new) in sorted(result.changed.items())],
             "unresolved_zeros": [_edge_json(e) for e in result.unresolved_zeros],
         }
-        if args.out:
+        if args.out and result.verdicts["all_ok"]:  # never write an unverified instance
             Path(args.out).write_text(serialize_instance(result.final) + "\n", encoding="utf-8")
             report["repair"]["output"] = args.out
     _emit(report, args.format)
@@ -390,6 +390,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.trials < 0:
+        raise InstanceFormatError(f"trials must be nonnegative, got {args.trials}")
     kind = ProblemKind(args.kind)
     trials = []
     for i in range(args.trials):
@@ -453,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("gmvd", "gmvid", "gmvdd"), default="gmvd")
     p.add_argument("--repair", action="store_true",
                    help="also rewrite the cover edges' weights to reach a metric graph")
-    p.add_argument("--out", help="write the repaired instance here (needs --repair)")
+    p.add_argument("--out", help="write the verified repaired instance here (needs --repair)")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("check", parents=[common], help="validate a cover file")

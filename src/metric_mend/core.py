@@ -61,11 +61,11 @@ class Graph:
     integral, ``Fraction`` otherwise).
 
     Immutable after construction; the "mutators" (:meth:`with_weight`,
-    :meth:`without_edge`, :meth:`scaled`) return new graphs.  Input weights
-    must be strictly positive; zero weights are tolerated only when
-    ``allow_zero`` is set, which the mutators do by default.  The repair
-    never sets a weight to zero; ``repair.lift_zero_edges`` accepts a graph
-    that has some.
+    :meth:`without_edges`, :meth:`scaled`) return new graphs, so a search on
+    G minus S runs on ``without_edges(S)``.  Input weights must be strictly
+    positive; zero weights are tolerated only when ``allow_zero`` is set,
+    which the mutators do by default.  The repair never sets a weight to
+    zero; ``repair.lift_zero_edges`` accepts a graph that has some.
     """
 
     __slots__ = ("n", "_weights", "_adj")
@@ -123,11 +123,11 @@ class Graph:
         items = [(u, v, w if (u, v) == e else wf) for (u, v), wf in self._weights.items()]
         return Graph(self.n, items, allow_zero=allow_zero)
 
-    def without_edge(self, edge: Edge) -> "Graph":
-        e = canonical_edge(*edge)
-        if e not in self._weights:
-            raise KeyError(f"no edge {e}")
-        items = [(u, v, wf) for (u, v), wf in self._weights.items() if (u, v) != e]
+    def without_edges(self, edges: Iterable[Edge]) -> "Graph":
+        drop = {canonical_edge(*e) for e in edges}
+        if missing := drop - self._weights.keys():
+            raise KeyError(f"no edge {min(missing)}")
+        items = [(u, v, wf) for (u, v), wf in self._weights.items() if (u, v) not in drop]
         return Graph(self.n, items, allow_zero=True)
 
     def scaled(self, factor) -> "Graph":
@@ -310,9 +310,9 @@ def serialize_instance(g: Graph) -> str:
 # Shortest paths
 
 
-def dijkstra(g: Graph, source: int,
-             skip_edges: frozenset[Edge] = frozenset()) -> tuple[list, list]:
-    """Single-source shortest paths with exact weights.
+def dijkstra(g: Graph, source: int) -> tuple[list, list]:
+    """Single-source shortest paths with exact weights over every edge of
+    ``g``; a search that must avoid an edge set S runs on ``g.without_edges(S)``.
 
     Returns (dist, parent); dist entries are exact weights (ints when every
     weight is an int) or INFINITY, parent is a deterministic shortest-path
@@ -332,8 +332,6 @@ def dijkstra(g: Graph, source: int,
         done[u] = True
         for v, w in g.neighbors(u):
             if done[v]:
-                continue
-            if skip_edges and canonical_edge(u, v) in skip_edges:
                 continue
             nd = d + w
             if nd < dist[v]:
@@ -482,6 +480,7 @@ def find_uncovered_cycle(g: Graph, top_cover: Iterable[Edge],
     """
     a = _check_edge_subset(g, top_cover, "top_cover")
     b = _check_edge_subset(g, nontop_cover, "nontop_cover")
+    h = g.without_edges(b) if b else g  # the graph searched; top weights stay g's
     source = None
     best: tuple[Weight, Edge, list] | None = None  # deficit, top, its parent row
     for (u, v), w in g.edge_items():  # sorted: one Dijkstra per lower endpoint
@@ -489,7 +488,7 @@ def find_uncovered_cycle(g: Graph, top_cover: Iterable[Edge],
             continue
         if u != source:
             source = u
-            dist, parent = dijkstra(g, u, skip_edges=b)
+            dist, parent = dijkstra(h, u)
         d = dist[v]
         if d < w:
             deficit = w - d

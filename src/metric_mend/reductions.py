@@ -230,7 +230,7 @@ def gen_random(n: int, density: float, weight_max: int, violations: int,
         for e in rng.sample(sorted(work.edges()), violations):
             w = work.weight(*e)
             if rng.random() < 0.5:
-                dist, _ = dijkstra(work, e[0], skip_edges=frozenset({e}))
+                dist, _ = dijkstra(work.without_edges([e]), e[0])
                 alt = dist[e[1]]
                 bump = rng.randint(1, weight_max)
                 work = work.with_weight(e, (alt if alt != INFINITY else w) + bump,
@@ -254,10 +254,10 @@ def parse_multicut(text: str) -> MulticutInstance:
     g = lines.graph(weighted=False)
     (k,) = lines.read("D k", "missing demand section 'D k'")
     rows = (lines.read("s t", f"expected {k} demand lines, got {i}") for i in range(k))
-    with lines.blame():
-        demands = tuple(_demand_pairs(g.n, g.edges(), rows))
+    with lines.blame():  # the instance checks each pair as it reads its line
+        mc = MulticutInstance(n=g.n, edges=tuple(g.edges()), demands=rows)
     lines.end()
-    return MulticutInstance(n=g.n, edges=tuple(g.edges()), demands=demands)
+    return mc
 
 
 def serialize_multicut(mc: MulticutInstance) -> str:

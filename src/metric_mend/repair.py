@@ -31,6 +31,7 @@ from .core import (
     INFINITY,
     InternalConsistencyError,
     Weight,
+    _check_edge_subset,
     canonical_edge,
     dijkstra,
     find_uncovered_cycle,
@@ -95,7 +96,7 @@ def split_cover(g: Graph, cover: Iterable[Edge]) -> SplitCover:
         raise CoverInvalidError("not a regular cover", witness)
     s_minus: set[Edge] = set()
     for x, y in sorted(cover_set):
-        dist, _ = dijkstra(g, x, skip_edges=cover_set - s_minus)
+        dist, _ = dijkstra(g.without_edges(cover_set - s_minus), x)
         if dist[y] < g.weight(x, y):
             s_minus.add((x, y))
     split = SplitCover(s_plus=cover_set - s_minus, s_minus=frozenset(s_minus))
@@ -159,7 +160,7 @@ def _apply_safe_move(work: Graph, witness: CycleWitness, s_plus: frozenset[Edge]
         # raising f is safe up to the shortest f-endpoint path that avoids the
         # increase half entirely: only cycles topped by f can become unbalanced,
         # and those are escape cycles exactly when such a shorter path exists.
-        dist, _ = dijkstra(work, f[0], skip_edges=s_plus)
+        dist, _ = dijkstra(work.without_edges(s_plus), f[0])
         limit = dist[f[1]]
         if limit >= w_f + 1:
             if unit_steps:
@@ -212,7 +213,7 @@ def lift_zero_edges(g: Graph) -> LiftResult:
         for e in work.edges():
             if work.weight(*e) != 0:
                 continue
-            dist, _ = dijkstra(work, e[0], skip_edges=frozenset({e}))
+            dist, _ = dijkstra(work.without_edges([e]), e[0])
             alt = dist[e[1]]
             if alt != INFINITY and alt > 0:
                 work = work.with_weight(e, alt)
@@ -236,10 +237,7 @@ def export_lp(g: Graph, cover: Iterable[Edge], kind: ProblemKind) -> str:
     """
     if kind not in (ProblemKind.GMVD, ProblemKind.GMVID):
         raise ValueError("the feasibility program covers the GMVD and GMVID problems")
-    s = frozenset(canonical_edge(*e) for e in cover)
-    for e in s:
-        if not g.has_edge(*e):
-            raise ValueError(f"cover contains non-edge {e}")
+    s = _check_edge_subset(g, cover, "cover")
 
     def var(i: int, j: int) -> str:
         i, j = canonical_edge(i, j)

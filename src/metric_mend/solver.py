@@ -198,7 +198,7 @@ def greedy_solve(g: Graph, kind: ProblemKind) -> CoverSolution:
             raise InternalConsistencyError(
                 "positive deficit but all edge counts are zero")
         selected.append(best)
-        work = work.without_edge(best)
+        work = work.without_edges([best])
     else:
         raise InternalConsistencyError("cover loop failed to terminate")
 

@@ -193,7 +193,7 @@ def rational_instance(n: int, violations: int, seed: int, density: float = 0.7) 
             return work
         for e in rng.sample(sorted(work.edges()), min(violations, work.m)):
             if rng.random() < 0.5:
-                dist, _ = dijkstra(work, e[0], skip_edges=frozenset({e}))
+                dist, _ = dijkstra(work.without_edges([e]), e[0])
                 alt = dist[e[1]]
                 bump = Fraction(rng.randint(1, 8), rng.randint(1, 4))
                 base_w = alt if alt != INFINITY else work.weight(*e)

@@ -7,12 +7,12 @@ from fractions import Fraction
 import pytest
 
 import metric_mend
-from metric_mend.cli import main, run_pipeline
+from metric_mend.cli import _verdicts, main, run_pipeline
 from metric_mend.core import (MAX_VERTICES, Graph, all_pairs_shortest_paths, graph_deficit,
                               is_metric, parse_instance, serialize_instance)
 from metric_mend.reductions import gen_random
 from metric_mend.repair import RepairOutcome
-from metric_mend.solver import ProblemKind
+from metric_mend.solver import ProblemKind, Role
 
 import helpers
 
@@ -88,6 +88,20 @@ class TestSolve:
         assert len(captured.err.strip().splitlines()) == 1 and "--repair" in captured.err
         assert not out_path.exists()
 
+    def test_out_not_written_when_verification_fails(self, monkeypatch, capsys, tmp_path):
+        def zeroing(g, *args, **kwargs):
+            return RepairOutcome(graph=g.with_weight((0, 1), 0), changed={}, steps=1)
+        monkeypatch.setattr(metric_mend.cli, "repair_weights", zeroing)
+        src = tmp_path / "tri.txt"
+        src.write_text("3 3\n0 1 10\n0 2 2\n1 2 2\n", encoding="utf-8")
+        out_path = tmp_path / "fixed.txt"
+        code, report = run_json(capsys, ["solve", str(src), "--kind", "gmvid", "--repair",
+                                         "--out", str(out_path)])
+        assert code == 3
+        assert report["verification"]["all_ok"] is False
+        assert "output" not in report["repair"]
+        assert not out_path.exists()
+
 
 class TestCheck:
     def write_cover(self, tmp_path, text):
@@ -152,6 +166,18 @@ class TestReduce:
             outs.append(out.read_text())
         assert outs[0] == outs[1]
 
+    def test_unequal_optima_exit_3(self, monkeypatch, capsys, tmp_path):
+        # a source optimum one edge larger than the reduced one is a broken reduction
+        monkeypatch.setattr(metric_mend.cli, "brute_multicut",
+                            lambda n, edges, demands, budget: list(edges))
+        src = tmp_path / "mc.txt"
+        src.write_text("3 2\n0 1\n1 2\nD 1\n0 2\n", encoding="utf-8")
+        code, report = run_json(capsys, ["reduce", "multicut", str(src), "--out",
+                                         str(tmp_path / "out.txt")])
+        assert code == 3
+        assert report["verification"] == {"checked": True, "source_optimum": 2,
+                                          "reduced_optimum": 1, "equal": False}
+
 
 class TestGenerate:
     def test_writes_instance(self, capsys, tmp_path):
@@ -171,6 +197,21 @@ class TestGenerate:
                               "--seed", "4", "--out", str(out)])
             texts.append(out.read_text())
         assert texts[0] == texts[1]
+
+    def test_without_out_prints_the_instance(self, capsys):
+        code, report = run_json(capsys, ["generate", "--n", "6", "--violations", "2",
+                                         "--seed", "9"])
+        assert code == 0
+        g = parse_instance(report["instance_text"])
+        assert g == gen_random(6, 0.5, 10, 2, 9)
+        assert report["instance"]["metric"] is False
+
+    def test_unrealizable_violations_exit_2(self, capsys):
+        # at density 0.01 the three pairs of n = 3 are never all sampled
+        assert main(["generate", "--n", "3", "--density", "0.01", "--violations", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "could not realize" in captured.err
 
 
 class TestOracleCommand:
@@ -208,6 +249,15 @@ class TestBench:
         code, report = run_json(capsys, ["bench", "--trials", "0"])
         assert code == 0
         assert report["trials"] == []
+
+    def test_negative_trials_exit_2(self, capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("bench generated an instance")
+        monkeypatch.setattr(metric_mend.cli.reductions, "gen_random", no_work)
+        assert main(["bench", "--trials", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "trials must be nonnegative, got -3" in captured.err
 
     def test_same_seed_same_report_modulo_timings(self, capsys):
         def strip(rep):
@@ -314,6 +364,18 @@ def test_zero_weight_from_repair_fails_verification(monkeypatch):
     assert result.unresolved_zeros == ((0, 1),)
     assert result.verdicts["bounds_respected"] is False
     assert result.verdicts["all_ok"] is False
+
+
+@pytest.mark.parametrize("role, final_weights, expected", [
+    (Role.DECREASE, (4, 3, 2), {"only_cover_edges_changed": False, "roles_monotone": False}),
+    (Role.INCREASE, (4, 2, 2), {"only_cover_edges_changed": True, "roles_monotone": False}),
+], ids=["non-cover-edge-moved", "increase-edge-lowered"])
+def test_verdicts_judge_which_edges_moved_and_how(role, final_weights, expected):
+    g = Graph(3, [(0, 1, 10), (0, 2, 2), (1, 2, 2)])
+    final = Graph(3, [(u, v, w) for (u, v), w in zip(g.edges(), final_weights)])
+    verdicts = _verdicts(g, ProblemKind.GMVD, ((0, 1),), (role,), final)
+    assert verdicts == {"cover_valid": True, "bounds_respected": True,
+                        "repaired_metric": True, **expected, "all_ok": False}
 
 
 @pytest.mark.parametrize("kind", list(ProblemKind))

@@ -127,6 +127,13 @@ class TestShortestPaths:
         assert t.dist(0, 2) == INFINITY
         assert t.spcount(0, 2) == 0
 
+    def test_without_edges_drops_exactly_the_set(self, k3):
+        h = k3.without_edges([(2, 0), (0, 2)])
+        assert h.edges() == [(0, 1), (1, 2)] and k3.m == 3
+        assert k3.without_edges([]) == k3
+        with pytest.raises(KeyError, match=r"no edge \(0, 3\)"):
+            Graph(4, [(0, 1, 1), (1, 3, 1)]).without_edges([(0, 1), (3, 0)])
+
     def test_counts_match_exhaustive_enumeration(self):
         for idx in range(25):
             g = helpers.rational_instance(n=4 + idx % 4, violations=idx % 3, seed=500 + idx)

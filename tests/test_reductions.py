@@ -113,6 +113,25 @@ class TestLbCutReduction:
         with pytest.raises(ValueError, match="strip"):
             LbCutInstance(n=2, edges=((0, 1),), source=0, sink=1, bound=1)
 
+    @pytest.mark.parametrize("source, sink, bound, message", [
+        (0, 3, 1, "out of range"),
+        (-1, 2, 1, "out of range"),
+        (1, 1, 1, "must differ"),
+        (0, 2, 0, "positive integer"),
+    ], ids=["sink-out-of-range", "source-out-of-range", "source-is-sink", "bound-zero"])
+    def test_bad_terminals_or_bound_rejected(self, source, sink, bound, message):
+        with pytest.raises(ValueError, match=message):
+            LbCutInstance(n=3, edges=((0, 1), (1, 2)), source=source, sink=sink, bound=bound)
+
+    def test_map_back_rejects_introduced_and_foreign_edges(self):
+        art = lbcut_to_gmvid(LbCutInstance(n=3, edges=((0, 1), (1, 2)), source=0, sink=2,
+                                           bound=2))
+        assert art.map_back([(1, 0)]) == [(0, 1)]
+        with pytest.raises(ValueError, match="introduced by the reduction"):
+            art.map_back([(2, 0)])
+        with pytest.raises(ValueError, match="not in the reduced instance"):
+            art.map_back([(0, 1), (1, 3)])
+
     def test_optimum_equivalence_randomized(self):
         rng = random.Random(99)
         for _ in range(40):
@@ -219,6 +238,15 @@ class TestSourceFormats:
     def test_lbcut_malformed_trailer(self):
         with pytest.raises(InstanceFormatError, match="LB"):
             parse_lbcut("3 1\n0 1\nLB 0 2")
+
+    @pytest.mark.parametrize("text, message", [
+        ("3 2\n0 1\n1 2\nD 1\n0 5\n", "line 5: invalid demand pair \\(0, 5\\)"),
+        ("3 2\n0 1\n1 2\nD 1\n2 2\n", "line 5: invalid demand pair \\(2, 2\\)"),
+        ("4 2\n0 1\n1 2\nD 3\n0 2\n0 3\n2 0\n", "line 7: duplicate demand pair \\(0, 2\\)"),
+    ], ids=["vertex-out-of-range", "self-pair", "duplicate"])
+    def test_bad_demand_pair_names_its_line(self, text, message):
+        with pytest.raises(InstanceFormatError, match=message):
+            parse_multicut(text)
 
     def test_comments_allowed(self):
         mc = parse_multicut("# instance\n3 2\n0 1\n1 2\nD 1\n0 2\n")

@@ -90,7 +90,7 @@ class TestSplitCover:
         """Forcing every edge into the plus half leaves the heavy chord's
         cycle uncovered, which the final search must report."""
         monkeypatch.setattr(repair, "dijkstra",
-                            lambda g, source, skip_edges: ([INFINITY] * g.n, [None] * g.n))
+                            lambda g, source: ([INFINITY] * g.n, [None] * g.n))
         with pytest.raises(InternalConsistencyError, match="uncovered"):
             split_cover(k3, {(0, 2)})
 
@@ -283,6 +283,11 @@ class TestExportLp:
     def test_deterministic(self, k3):
         assert export_lp(k3, {(0, 2)}, ProblemKind.GMVD) == \
             export_lp(k3, {(0, 2)}, ProblemKind.GMVD)
+
+    def test_non_edge_cover_rejected(self):
+        g = Graph(3, [(0, 1, 2), (1, 2, 2)])
+        with pytest.raises(ValueError, match=r"cover contains non-edge \(0, 2\)"):
+            export_lp(g, {(2, 0)}, ProblemKind.GMVD)
 
     def test_feasibility_tracks_cover_validity(self):
         rng = random.Random(17)

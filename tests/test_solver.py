@@ -153,7 +153,7 @@ class TestGreedySolve:
                 smaller = [e for e in work.edges()
                            if e < chosen and reports[e].count == best]
                 assert not smaller, "tie must resolve to the smallest edge"
-                work = work.without_edge(chosen)
+                work = work.without_edges([chosen])
 
     def test_layer_deficits_strictly_decrease(self):
         for idx in range(15):
