@@ -25,10 +25,8 @@ from .core import (
     Graph,
     InstanceFormatError,
     Weight,
-    all_pairs_shortest_paths,
     find_uncovered_cycle,
     format_weight,
-    graph_deficit,
     is_metric,
     parse_cover,
     parse_instance,
@@ -133,22 +131,24 @@ def run_pipeline(g: Graph, kind: ProblemKind, *, repair: bool) -> PipelineResult
 
     gmvd and gmvid use the greedy cover, whose first layer is the input's
     deficit; gmvd splits it and gmvid repairs it as an increase-only half.
-    gmvdd uses one distance table to pick the exact cover, repair it and
-    report the deficit.  Every stage, the verdicts included, runs on ``g``
-    scaled to integer weights by the least common denominator L, whose sums
-    and comparisons are those of ``g`` times L; deficits and weights are
-    divided by L exactly on the way out.  The verdicts are recomputed from
-    the outputs themselves.  The repair creates no zero weight and nothing
-    lifts one afterwards, so a zero in the final graph fails verification.
+    gmvdd sets each edge heavier than its endpoint distance to that distance:
+    the exact cover, its repair and the deficit, from one Dijkstra run per
+    lower edge endpoint and no n x n table.  Every stage, the verdicts
+    included, runs on ``g`` scaled to integer weights by the least common
+    denominator L, whose sums and comparisons are those of ``g`` times L;
+    deficits and weights are divided by L exactly on the way out.  The
+    verdicts are recomputed from the outputs themselves.  The repair creates
+    no zero weight and nothing lifts one afterwards, so a zero in the final
+    graph fails verification.
     """
     t0 = time.perf_counter()
     gs, scale = g.integer_scaled()
     if kind is ProblemKind.GMVDD:
-        tables = all_pairs_shortest_paths(gs, counts=False)
-        cover = tuple(sorted(solve_decrease_only(gs, tables)))
+        fixes = solve_decrease_only(gs)
+        cover = tuple(sorted(fixes))
         roles = (Role.DECREASE,) * len(cover)
         layers: tuple = ()
-        deficit = graph_deficit(gs, tables)
+        deficit = max((gs.weight(*e) - d for e, d in fixes.items()), default=0)
     else:
         solution = greedy_solve(gs, kind)
         cover, roles, layers = solution.edges, solution.roles, solution.layer_deficits
@@ -159,9 +159,7 @@ def run_pipeline(g: Graph, kind: ProblemKind, *, repair: bool) -> PipelineResult
     steps = 0
     if repair:
         if kind is ProblemKind.GMVDD:
-            chosen = set(cover)
-            final = Graph(gs.n, [(u, v, tables.dist(u, v) if (u, v) in chosen else w)
-                                 for (u, v), w in gs.edge_items()])
+            final = Graph(gs.n, [(u, v, fixes.get((u, v), w)) for (u, v), w in gs.edge_items()])
             steps = len(cover)
         else:
             if kind is ProblemKind.GMVD:
@@ -310,17 +308,6 @@ def cmd_reduce(args) -> int:
         def source_optimum() -> int:
             return exact_min_cover(g, CoverKind.NONTOP, budget=budget).size
 
-    out_path = Path(args.out)
-    out_path.write_text(serialize_instance(artifact.instance) + "\n", encoding="utf-8")
-    sidecar = out_path.with_suffix(out_path.suffix + ".map.json")
-    sidecar.write_text(json.dumps({
-        "kind": artifact.kind.value,
-        "back_map": sorted([_edge_json(e), _edge_json(s)]
-                           for e, s in artifact.back_map.items()),
-        "added_edges": [_edge_json(e) for e in sorted(artifact.added_edges)],
-        "added_vertices": sorted(artifact.added_vertices),
-    }, sort_keys=True, indent=2), encoding="utf-8")
-
     try:
         src = source_optimum()
         reduced = exact_min_cover(artifact.instance, artifact.kind.cover_kind,
@@ -329,19 +316,24 @@ def cmd_reduce(args) -> int:
                               "reduced_optimum": reduced, "equal": src == reduced}
     except BudgetExceededError:
         verification = {"checked": False, "reason": "oracle budget exceeded"}
+    refuted = verification["checked"] and not verification["equal"]
 
-    report = {
-        "command": "reduce",
-        "which": args.which,
-        "output": args.out,
-        "back_map": str(sidecar),
-        "instance": _instance_summary(artifact.instance),
-        "verification": verification,
-    }
+    report = {"command": "reduce", "which": args.which}
+    if not refuted:  # never write a reduction its own cross-check disproved
+        out_path = Path(args.out)
+        out_path.write_text(serialize_instance(artifact.instance) + "\n", encoding="utf-8")
+        sidecar = out_path.with_suffix(out_path.suffix + ".map.json")
+        sidecar.write_text(json.dumps({
+            "kind": artifact.kind.value,
+            "back_map": sorted([_edge_json(e), _edge_json(s)]
+                               for e, s in artifact.back_map.items()),
+            "added_edges": [_edge_json(e) for e in sorted(artifact.added_edges)],
+            "added_vertices": sorted(artifact.added_vertices),
+        }, sort_keys=True, indent=2), encoding="utf-8")
+        report.update(output=args.out, back_map=str(sidecar))
+    report.update(instance=_instance_summary(artifact.instance), verification=verification)
     _emit(report, args.format)
-    if verification.get("checked") and not verification.get("equal"):
-        return EXIT_INTERNAL
-    return EXIT_OK
+    return EXIT_INTERNAL if refuted else EXIT_OK
 
 
 def cmd_generate(args) -> int:

@@ -16,7 +16,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator
 
 Weight = int | Fraction
 Edge = tuple[int, int]
@@ -179,11 +179,11 @@ def _parse_weight_token(token: str, line: int) -> Weight:
 
 
 #: Largest vertex count a file header may declare, so that a ten-byte header
-#: cannot ask for unbounded memory.  An n x n distance table entry is an
-#: 8-byte pointer plus its own int or Fraction object: about 40 bytes for an
-#: int and 80 or more for a Fraction on CPython 3.11 (measured at n = 300), so
-#: a full table at 10 000 vertices takes 4 GB or more, not the 0.8 GB of its
-#: pointers alone.
+#: cannot ask for unbounded memory.  Only the gmvd/gmvid greedy builds an
+#: n x n distance table; an entry is an 8-byte pointer plus its own int or
+#: Fraction: about 40 bytes for an int and 80 or more for a Fraction on
+#: CPython 3.11 (measured at n = 300), so its table at 10 000 vertices takes
+#: 4 GB or more.
 MAX_VERTICES = 10_000
 
 
@@ -358,12 +358,13 @@ class DistanceTables:
     ``dist(u, v)`` is exact (INFINITY when unreachable); ``spcount(u, v)`` is
     the number of distinct shortest u-v paths as an unbounded integer, with
     the conventions spcount(v, v) = 1 and spcount = 0 for unreachable pairs.
-    Immutable after construction.
+    Immutable after construction.  Only the greedy needs these n x n tables;
+    a question about one distance per edge goes through :func:`edge_distances`.
     """
 
     __slots__ = ("n", "_dist", "_count")
 
-    def __init__(self, n: int, dist_rows: list[list], count_rows: list[list[int]] | None):
+    def __init__(self, n: int, dist_rows: list[list], count_rows: list[list[int]]):
         self.n = n
         self._dist = dist_rows
         self._count = count_rows
@@ -372,35 +373,29 @@ class DistanceTables:
         return self._dist[u][v]
 
     def spcount(self, u: int, v: int) -> int:
-        if self._count is None:
-            raise ValueError("tables were built without path counts")
         return self._count[u][v]
 
     def row(self, u: int) -> tuple[list, list[int]]:
         """Rows ``dist(u, .)`` and ``spcount(u, .)`` for scans over many
         targets: the tables' own lists, which callers must only read."""
-        if self._count is None:
-            raise ValueError("tables were built without path counts")
         return self._dist[u], self._count[u]
 
 
-def all_pairs_shortest_paths(g: Graph, *, counts: bool = True) -> DistanceTables:
-    """Build the full distance (and, by default, path-count) tables.
+def all_pairs_shortest_paths(g: Graph) -> DistanceTables:
+    """Build the full distance and path-count tables.
 
     Counts are obtained per source by processing vertices in increasing
     distance and summing the counts of the predecessors that realize that
     distance; strictly positive weights make the recurrence well founded, so
     counting demands a zero-free graph.
     """
-    if counts and g.has_zero_weight():
+    if g.has_zero_weight():
         raise ValueError("path counting requires strictly positive weights")
     dist_rows: list[list] = []
-    count_rows: list[list[int]] | None = [] if counts else None
+    count_rows: list[list[int]] = []
     for s in range(g.n):
         dist, _ = dijkstra(g, s)
         dist_rows.append(dist)
-        if count_rows is None:
-            continue
         row = [0] * g.n
         row[s] = 1
         order = sorted((d, v) for v, d in enumerate(dist) if v != s and d != INFINITY)
@@ -413,6 +408,22 @@ def all_pairs_shortest_paths(g: Graph, *, counts: bool = True) -> DistanceTables
             row[v] = total
         count_rows.append(row)
     return DistanceTables(g.n, dist_rows, count_rows)
+
+
+def edge_distances(h: Graph, edges: Iterable[tuple[Edge, Weight]]) -> Iterator[tuple]:
+    """``(edge, weight, d(u, v) in h, parent row of u)`` for each of the
+    sorted ``(edge, weight)`` pairs.
+
+    One Dijkstra run in ``h`` per distinct lower endpoint u, and only one
+    row held at a time: the way to ask one distance per edge without an
+    n x n table.  The edges need not be edges of ``h``.
+    """
+    source = None
+    for (u, v), w in edges:
+        if u != source:
+            source = u
+            dist, parent = dijkstra(h, u)
+        yield (u, v), w, dist[v], parent
 
 
 # ---------------------------------------------------------------------------
@@ -481,19 +492,13 @@ def find_uncovered_cycle(g: Graph, top_cover: Iterable[Edge],
     a = _check_edge_subset(g, top_cover, "top_cover")
     b = _check_edge_subset(g, nontop_cover, "nontop_cover")
     h = g.without_edges(b) if b else g  # the graph searched; top weights stay g's
-    source = None
     best: tuple[Weight, Edge, list] | None = None  # deficit, top, its parent row
-    for (u, v), w in g.edge_items():  # sorted: one Dijkstra per lower endpoint
-        if (u, v) in a:
-            continue
-        if u != source:
-            source = u
-            dist, parent = dijkstra(h, u)
-        d = dist[v]
-        if d < w:
+    tops = ((e, w) for e, w in g.edge_items() if e not in a)
+    for e, w, d, parent in edge_distances(h, tops):
+        if d < w:  # before w - d: an unreachable float d must not meet a huge w
             deficit = w - d
             if best is None or deficit > best[0]:
-                best = (deficit, (u, v), parent)
+                best = (deficit, e, parent)
     if best is None:
         return None
     deficit, (u, v), parent = best

@@ -18,10 +18,9 @@ from .core import (
     InstanceFormatError,
     LineReader,
     MAX_VERTICES,
-    all_pairs_shortest_paths,
     canonical_edge,
     dijkstra,
-    graph_deficit,
+    is_metric,
 )
 from .solver import ProblemKind, solve_decrease_only
 
@@ -158,8 +157,7 @@ def gmvid_to_gmvd(g: Graph) -> ReductionArtifact:
     reproducible.  An output above ``MAX_VERTICES`` vertices is refused
     before anything is built.
     """
-    tables = all_pairs_shortest_paths(g, counts=False)
-    tops = sorted(solve_decrease_only(g, tables))
+    tops = sorted(solve_decrease_only(g))
     if not tops:
         return ReductionArtifact(instance=g, kind=ProblemKind.GMVD,
                                  back_map={e: e for e in g.edges()},
@@ -192,9 +190,12 @@ def gmvid_to_gmvd(g: Graph) -> ReductionArtifact:
 # ---------------------------------------------------------------------------
 # Random instances
 
+#: Draws ``gen_random`` makes before it gives up on the requested violations.
+_GEN_ATTEMPTS = 50
+
 
 def gen_random(n: int, density: float, weight_max: int, violations: int,
-               seed: int, *, max_attempts: int = 50) -> Graph:
+               seed: int) -> Graph:
     """Random instance: a metric base with a chosen number of planted violations.
 
     Edges are sampled with the given probability and random integer weights,
@@ -217,14 +218,14 @@ def gen_random(n: int, density: float, weight_max: int, violations: int,
     rng = random.Random(seed)
     density = float(density)
 
-    for _ in range(max_attempts):
+    for _ in range(_GEN_ATTEMPTS):
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)
                  if rng.random() < density]
         if len(pairs) < violations or (violations > 0 and len(pairs) < 3):
             continue
         base = Graph(n, [(u, v, rng.randint(1, weight_max)) for u, v in pairs])
-        tables = all_pairs_shortest_paths(base, counts=False)
-        work = Graph(n, [(u, v, tables.dist(u, v)) for u, v in pairs])
+        fixes = solve_decrease_only(base)  # every other edge equals its distance
+        work = Graph(n, [(u, v, fixes.get((u, v), w)) for (u, v), w in base.edge_items()])
         if violations == 0:
             return work
         for e in rng.sample(sorted(work.edges()), violations):
@@ -237,7 +238,7 @@ def gen_random(n: int, density: float, weight_max: int, violations: int,
                                         allow_zero=False)
             elif w > 1:
                 work = work.with_weight(e, rng.randint(1, w - 1), allow_zero=False)
-        if graph_deficit(work, all_pairs_shortest_paths(work, counts=False)) > 0:
+        if not is_metric(work):
             return work
     raise InstanceFormatError(
         f"could not realize {violations} violations at n={n}, density={density}; "

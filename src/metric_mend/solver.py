@@ -24,6 +24,7 @@ from .core import (
     Weight,
     all_pairs_shortest_paths,
     canonical_edge,
+    edge_distances,
     graph_deficit,
     validate_cover,
 )
@@ -210,7 +211,8 @@ def greedy_solve(g: Graph, kind: ProblemKind) -> CoverSolution:
                          layer_deficits=tuple(layers))
 
 
-def solve_decrease_only(g: Graph, tables: DistanceTables) -> frozenset[Edge]:
-    """Exact optimum for the decrease-only problem: the edges heavier than
-    their endpoints' shortest-path distance."""
-    return frozenset((u, v) for (u, v), w in g.edge_items() if w > tables.dist(u, v))
+def solve_decrease_only(g: Graph) -> dict[Edge, Weight]:
+    """Exact optimum for the decrease-only problem: each edge heavier than its
+    endpoints' shortest-path distance, mapped to that distance.  Setting
+    every such edge to its distance repairs the graph, and no table is built."""
+    return {e: d for e, w, d, _ in edge_distances(g, g.edge_items()) if d < w}

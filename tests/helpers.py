@@ -187,7 +187,7 @@ def rational_instance(n: int, violations: int, seed: int, density: float = 0.7) 
             continue
         base = Graph(n, [(u, v, Fraction(rng.randint(1, 12), rng.randint(1, 4)))
                          for u, v in pairs])
-        tables = all_pairs_shortest_paths(base, counts=False)
+        tables = all_pairs_shortest_paths(base)
         work = Graph(n, [(u, v, tables.dist(u, v)) for u, v in pairs])
         if violations == 0:
             return work
@@ -201,7 +201,7 @@ def rational_instance(n: int, violations: int, seed: int, density: float = 0.7) 
             else:
                 shrink = Fraction(1, rng.randint(2, 4))
                 work = work.with_weight(e, work.weight(*e) * shrink, allow_zero=False)
-        if graph_deficit(work, all_pairs_shortest_paths(work, counts=False)) > 0:
+        if graph_deficit(work, all_pairs_shortest_paths(work)) > 0:
             return work
     if work is None:
         raise ValueError(f"could not sample a workable graph at n={n}")

@@ -167,16 +167,19 @@ class TestReduce:
         assert outs[0] == outs[1]
 
     def test_unequal_optima_exit_3(self, monkeypatch, capsys, tmp_path):
-        # a source optimum one edge larger than the reduced one is a broken reduction
+        # a source optimum one edge larger than the reduced one is a broken
+        # reduction: exit 3, and neither the instance nor its map is written
         monkeypatch.setattr(metric_mend.cli, "brute_multicut",
                             lambda n, edges, demands, budget: list(edges))
         src = tmp_path / "mc.txt"
         src.write_text("3 2\n0 1\n1 2\nD 1\n0 2\n", encoding="utf-8")
-        code, report = run_json(capsys, ["reduce", "multicut", str(src), "--out",
-                                         str(tmp_path / "out.txt")])
+        out = tmp_path / "out.txt"
+        code, report = run_json(capsys, ["reduce", "multicut", str(src), "--out", str(out)])
         assert code == 3
         assert report["verification"] == {"checked": True, "source_optimum": 2,
                                           "reduced_optimum": 1, "equal": False}
+        assert "output" not in report and "back_map" not in report
+        assert not out.exists() and not (tmp_path / "out.txt.map.json").exists()
 
 
 class TestGenerate:
@@ -296,6 +299,7 @@ class TestOracleBudget:
                                          str(tmp_path / "out.txt"), "--oracle-budget", "0"])
         assert code == 0
         assert report["verification"]["checked"] is False
+        assert (tmp_path / "out.txt").exists() and report["output"] == str(tmp_path / "out.txt")
 
     @pytest.mark.parametrize("argv", [
         ["oracle", "K3", "--oracle-budget", "-1"],
@@ -383,7 +387,7 @@ def test_pipeline_deficit_and_verdicts(kind):
     for idx in range(6):
         g = helpers.rational_instance(n=5 + idx % 3, violations=idx % 3, seed=2600 + idx)
         result = run_pipeline(g, kind, repair=True)
-        assert result.deficit == graph_deficit(g, all_pairs_shortest_paths(g, counts=False))
+        assert result.deficit == graph_deficit(g, all_pairs_shortest_paths(g))
         assert result.verdicts["all_ok"] is True
         assert is_metric(result.final)
         assert set(result.changed) <= set(result.cover)
@@ -449,3 +453,20 @@ def test_reduce_summary_builds_no_distance_table(capsys, tmp_path):
     assert report["instance"] == {"n": 1045, "m": 2108, "deficit": "100/7", "metric": False}
     # an n x n table of the output alone holds over 10^6 Fractions (58 MiB traced)
     assert peak < 16 * 2**20
+
+
+def test_decrease_only_pipeline_builds_no_distance_table():
+    # K_{2,998}: hubs 0 and 1 joined to every leaf by unit edges, except the
+    # weight-4 edge (0, 2), which the 3-edge path 0-3-1-2 undercuts
+    n = 1000
+    g = Graph(n, [(h, v, 4 if (h, v) == (0, 2) else 1) for h in (0, 1) for v in range(2, n)])
+    tracemalloc.start()
+    try:
+        result = run_pipeline(g, ProblemKind.GMVDD, repair=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.cover == ((0, 2),) and result.verdicts["all_ok"]
+    assert result.final.weight(0, 2) == 3
+    # an n x n distance table alone peaks at 9 MiB traced here
+    assert peak < 4 * 2**20

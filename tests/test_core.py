@@ -159,7 +159,6 @@ class TestShortestPaths:
         g = Graph(2, [(0, 1, 0)], allow_zero=True)
         with pytest.raises(ValueError, match="positive"):
             all_pairs_shortest_paths(g)
-        all_pairs_shortest_paths(g, counts=False)
 
 
 class TestDeficit:

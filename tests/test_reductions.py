@@ -206,7 +206,7 @@ class TestGenRandom:
 
     def test_violations_register(self):
         g = gen_random(6, 0.5, 10, 2, seed=5)
-        assert graph_deficit(g, all_pairs_shortest_paths(g, counts=False)) > 0
+        assert graph_deficit(g, all_pairs_shortest_paths(g)) > 0
 
     def test_seed_changes_instance(self):
         assert gen_random(6, 0.5, 10, 1, seed=1) != gen_random(6, 0.5, 10, 1, seed=2)

@@ -189,25 +189,25 @@ class TestGreedySolve:
 
 class TestDecreaseOnly:
     def test_k3(self, k3):
-        t = all_pairs_shortest_paths(k3)
-        assert solve_decrease_only(k3, t) == {(0, 2)}
+        assert solve_decrease_only(k3) == {(0, 2): 2}
 
     def test_metric_graph_empty(self):
         g = Graph(3, [(0, 1, 1), (1, 2, 1), (0, 2, 2)])
-        assert solve_decrease_only(g, all_pairs_shortest_paths(g)) == frozenset()
+        assert solve_decrease_only(g) == {}
 
     def test_stretched_triangle(self):
         g = Graph(3, [(0, 1, 1), (1, 2, 2), (0, 2, 4)])
-        assert solve_decrease_only(g, all_pairs_shortest_paths(g)) == {(0, 2)}
+        assert solve_decrease_only(g) == {(0, 2): 3}
 
     def test_setting_to_distance_gives_metric(self):
         from metric_mend.core import is_metric
         for idx in range(15):
             g = helpers.rational_instance(n=5 + idx % 3, violations=idx % 4, seed=6100 + idx)
             t = all_pairs_shortest_paths(g)
-            chosen = solve_decrease_only(g, t)
-            fixed = Graph(g.n, [(u, v, t.dist(u, v) if (u, v) in chosen else w)
-                                for (u, v), w in g.edge_items()])
+            fixes = solve_decrease_only(g)
+            assert set(fixes) == {(u, v) for (u, v), w in g.edge_items() if w > t.dist(u, v)}
+            assert fixes == {(u, v): t.dist(u, v) for u, v in fixes}
+            fixed = Graph(g.n, [(u, v, fixes.get((u, v), w)) for (u, v), w in g.edge_items()])
             assert is_metric(fixed)
 
 
