@@ -11,6 +11,7 @@ an oracle budget), 3 any internal failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -431,7 +432,11 @@ def cmd_bench(args) -> int:
     return EXIT_OK if all(r["verified"] for r in trials) else EXIT_INTERNAL
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every
+    :func:`main` call in the process: each parse starts from a fresh
+    namespace, so nothing carries over from one call to the next."""
     parser = argparse.ArgumentParser(
         prog="metric-mend",
         description="Find and repair minimum sets of edge weights that keep a "
@@ -502,8 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (InstanceFormatError, OSError, BudgetExceededError) as exc:

@@ -16,6 +16,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import groupby
 from typing import Iterable, Iterator
 
 Weight = int | Fraction
@@ -310,14 +311,20 @@ def serialize_instance(g: Graph) -> str:
 # Shortest paths
 
 
-def dijkstra(g: Graph, source: int) -> tuple[list, list]:
+def dijkstra(g: Graph, source: int, bound: Weight | float = INFINITY) -> tuple[list, list]:
     """Single-source shortest paths with exact weights over every edge of
     ``g``; a search that must avoid an edge set S runs on ``g.without_edges(S)``.
 
-    Returns (dist, parent); dist entries are exact weights (ints when every
-    weight is an int) or INFINITY, parent is a deterministic shortest-path
-    tree (ties resolved by heap order on (distance, vertex id), updates on
-    strict improvement only).
+    Returns (dist, parent), a deterministic shortest-path tree: ties are
+    resolved by heap order on (distance, vertex id) and updates happen on
+    strict improvement only.  The search stops once the next distance it
+    would settle reaches ``bound``.  A distance below ``bound`` is exact
+    (ints when every weight is an int) and its parent is a tree edge, the
+    same distance and parent an unbounded run gives.  Any other entry is
+    INFINITY or a tentative value ``>= bound`` whose parent is not a tree
+    edge, so a caller compares an entry with a value up to ``bound`` before
+    doing arithmetic with it, as ``find_uncovered_cycle`` tests ``d < w``
+    before it takes ``w - d``.
     """
     n = g.n
     dist: list = [INFINITY] * n
@@ -327,6 +334,8 @@ def dijkstra(g: Graph, source: int) -> tuple[list, list]:
     heap: list[tuple[Weight, int]] = [(0, source)]
     while heap:
         d, u = heapq.heappop(heap)
+        if d >= bound:
+            break
         if done[u]:
             continue
         done[u] = True
@@ -411,19 +420,21 @@ def all_pairs_shortest_paths(g: Graph) -> DistanceTables:
 
 
 def edge_distances(h: Graph, edges: Iterable[tuple[Edge, Weight]]) -> Iterator[tuple]:
-    """``(edge, weight, d(u, v) in h, parent row of u)`` for each of the
-    sorted ``(edge, weight)`` pairs.
+    """``(edge, weight, d, parent row of u)`` for each of the sorted
+    ``(edge, weight)`` pairs, with d the distance of u and v in ``h`` when
+    that is below the weight and some value at or above the weight
+    otherwise; the parent row holds a shortest u-v path in the first case.
 
-    One Dijkstra run in ``h`` per distinct lower endpoint u, and only one
-    row held at a time: the way to ask one distance per edge without an
-    n x n table.  The edges need not be edges of ``h``.
+    One Dijkstra run in ``h`` per distinct lower endpoint u, stopped at the
+    largest weight among u's listed edges, and only one row held at a time:
+    the way to ask whether d(u, v) < w for each edge without an n x n table.
+    The edges need not be edges of ``h``.
     """
-    source = None
-    for (u, v), w in edges:
-        if u != source:
-            source = u
-            dist, parent = dijkstra(h, u)
-        yield (u, v), w, dist[v], parent
+    for u, group in groupby(edges, key=lambda item: item[0][0]):
+        row = list(group)
+        dist, parent = dijkstra(h, u, max(w for _, w in row))
+        for (_, v), w in row:
+            yield (u, v), w, dist[v], parent
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,22 @@
 """Turn a validated cover into an actual metric graph.
 
 A regular cover is first partitioned into increase-only and decrease-only
-halves by one Dijkstra run per cover edge and one confirming cycle search (a
-non-top cover is already an increase half, with an empty decrease half);
-the adjustment loop then repeatedly picks an unbalanced cycle and
-applies a safe weight move on one of its covered edges until no unbalanced
-cycle remains.  A move is safe when it creates no unbalanced cycle that
-escapes the (decrease half as top cover, increase half as non-top cover)
-pair, which `find_uncovered_cycle` decides exactly.  Instead of unit steps,
-each move jumps as far as its limit allows, which keeps the number of rounds
-small without changing the contract.  Both limits are closed forms: an
-increase of a non-top edge stops at the shortest path between its endpoints
-that avoids the increase half (one Dijkstra run) or at the deficit, and a
-decrease of the top edge goes straight to balancing the witness cycle, which
-the split invariant makes safe (see `_apply_safe_move`).  The loop runs one
-cycle search per move and none to probe a move.
+halves by one Dijkstra run per cover edge, stopped at that edge's weight, and
+one confirming cycle search (a non-top cover is already an increase half,
+with an empty decrease half); the adjustment loop then repeatedly picks an
+unbalanced cycle and applies a safe weight move on one of its covered edges
+until no unbalanced cycle remains.  A move is safe when it creates no
+unbalanced cycle that escapes the (decrease half as top cover, increase half
+as non-top cover) pair, which `find_uncovered_cycle` decides exactly.
+Instead of unit steps, each move jumps as far as its limit allows, which
+keeps the number of rounds small without changing the contract.  Both limits
+are closed forms: an increase of a non-top edge stops at the shortest path
+between its endpoints that avoids the increase half or at the deficit,
+whichever comes first (one Dijkstra run, stopped where the deficit would
+take the edge), and a decrease of the top edge goes straight to balancing
+the witness cycle, which the split invariant makes safe (see
+`_apply_safe_move`).  The loop runs one cycle search per move and none to
+probe a move.
 """
 
 from __future__ import annotations
@@ -85,10 +87,11 @@ def split_cover(g: Graph, cover: Iterable[Edge]) -> SplitCover:
     this hold at the start.  Placing b in the plus half stops exempting b and
     nothing else, so it lets a cycle escape exactly when one topped by b
     avoids ``cover - s_minus``: when d(x, y) < w_b for b = (x, y) in the graph
-    without those edges, which one Dijkstra run decides.  Then b goes to the
-    minus half, which the split lemma guarantees fits.  The exempt and blocked
-    sets only shrink as the loop runs, so a cycle that escapes after any step
-    still escapes at the end, and one final cycle search checks every step.
+    without those edges, which one Dijkstra run stopped at w_b decides.  Then
+    b goes to the minus half, which the split lemma guarantees fits.  The
+    exempt and blocked sets only shrink as the loop runs, so a cycle that
+    escapes after any step still escapes at the end, and one final cycle
+    search checks every step.
     """
     cover_set = frozenset(canonical_edge(*e) for e in cover)
     witness = validate_cover(g, cover_set, CoverKind.REGULAR)
@@ -96,8 +99,9 @@ def split_cover(g: Graph, cover: Iterable[Edge]) -> SplitCover:
         raise CoverInvalidError("not a regular cover", witness)
     s_minus: set[Edge] = set()
     for x, y in sorted(cover_set):
-        dist, _ = dijkstra(g.without_edges(cover_set - s_minus), x)
-        if dist[y] < g.weight(x, y):
+        w_b = g.weight(x, y)
+        dist, _ = dijkstra(g.without_edges(cover_set - s_minus), x, w_b)
+        if dist[y] < w_b:
             s_minus.add((x, y))
     split = SplitCover(s_plus=cover_set - s_minus, s_minus=frozenset(s_minus))
     witness = find_uncovered_cycle(g, split.s_minus, split.s_plus)
@@ -160,15 +164,14 @@ def _apply_safe_move(work: Graph, witness: CycleWitness, s_plus: frozenset[Edge]
         # raising f is safe up to the shortest f-endpoint path that avoids the
         # increase half entirely: only cycles topped by f can become unbalanced,
         # and those are escape cycles exactly when such a shorter path exists.
-        dist, _ = dijkstra(work.without_edges(s_plus), f[0])
+        # The move never goes past w_f + deficit, so neither does the search:
+        # a limit at or past it reads some value >= w_f + deficit, and the
+        # deficit is a positive int on the scaled graph.
+        target = w_f + deficit
+        dist, _ = dijkstra(work.without_edges(s_plus), f[0], target)
         limit = dist[f[1]]
         if limit >= w_f + 1:
-            if unit_steps:
-                return work.with_weight(f, w_f + 1)
-            target = w_f + deficit
-            if limit != INFINITY and limit < target:
-                target = limit
-            return work.with_weight(f, target)
+            return work.with_weight(f, w_f + 1 if unit_steps else min(target, limit))
 
     t = witness.top
     if t in s_minus:

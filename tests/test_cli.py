@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 import tracemalloc
 from fractions import Fraction
@@ -7,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import metric_mend
+from metric_mend import cli
 from metric_mend.cli import _verdicts, main, run_pipeline
 from metric_mend.core import (MAX_VERTICES, Graph, all_pairs_shortest_paths, graph_deficit,
                               is_metric, parse_instance, serialize_instance)
@@ -273,6 +275,46 @@ class TestBench:
         _, second = run_json(capsys, ["bench", "--n", "5", "--violations", "1",
                                       "--trials", "3", "--seed", "2"])
         assert strip(first) == strip(second)
+
+
+class TestParserReuse:
+    def test_second_call_builds_no_parser(self, monkeypatch, k3_file):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli.build_parser.cache_clear()
+        assert main(["solve", k3_file]) == 0
+        first = len(built)
+        assert main(["solve", k3_file]) == 0
+        assert first > 0 and len(built) == first
+
+    def test_repeated_calls_give_identical_results(self, capsys, tmp_path, k3_file):
+        cover = tmp_path / "cover.txt"
+        cover.write_text("0 2\n", encoding="utf-8")
+        argvs = [
+            ["check", k3_file, str(cover), "--format", "machine"],  # exit 0
+            ["solve", k3_file, "--kind", "nope"],  # argparse usage error
+            ["solve", str(tmp_path / "missing.txt")],  # input error, exit 2
+        ]
+
+        def run(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = ("SystemExit", exc.code)
+            out, err = capsys.readouterr()
+            return code, out, err
+
+        first = [run(argv) for argv in argvs]
+        assert first == [run(argv) for argv in argvs]
+        assert [code for code, _, _ in first] == [0, ("SystemExit", 2), 2]
+        assert "invalid choice: 'nope'" in first[1][2]
+        assert first[2][2].startswith("error: ")
 
 
 def test_text_format_smoke(capsys, k3_file):

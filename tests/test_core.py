@@ -15,6 +15,8 @@ from metric_mend.core import (
     InstanceFormatError,
     MAX_VERTICES,
     all_pairs_shortest_paths,
+    dijkstra,
+    edge_distances,
     find_uncovered_cycle,
     graph_deficit,
     is_metric,
@@ -270,6 +272,62 @@ def _graphs(draw, max_n=6):
 
 
 graphs = st.composite(_graphs)
+
+
+def _zero_graphs(draw, max_n=7):
+    """Graphs whose weights mix zeros, ints and Fractions."""
+    n = draw(st.integers(1, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = [pair for pair in pairs if draw(st.booleans())]
+    weights = draw(st.lists(
+        st.one_of(st.just(0), st.integers(1, 9),
+                  st.fractions(min_value=0, max_value=9, max_denominator=4)),
+        min_size=len(chosen), max_size=len(chosen)))
+    return Graph(n, [(u, v, w) for (u, v), w in zip(chosen, weights)], allow_zero=True)
+
+
+zero_graphs = st.composite(_zero_graphs)
+bounds = st.one_of(st.just(0), st.just(INFINITY), st.integers(0, 20),
+                   st.fractions(min_value=0, max_value=20, max_denominator=4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(zero_graphs(), st.data())
+def test_bounded_dijkstra_is_exact_below_its_bound(g, data):
+    source = data.draw(st.integers(0, g.n - 1))
+    full_dist, full_parent = dijkstra(g, source)
+    # half the bounds are distances of this run, so ties with the bound occur
+    reached = sorted({d for d in full_dist if d != INFINITY})
+    bound = data.draw(st.one_of(bounds, st.sampled_from(reached)))
+    dist, parent = dijkstra(g, source, bound)
+    for v in range(g.n):
+        if full_dist[v] < bound:
+            assert (dist[v], parent[v]) == (full_dist[v], full_parent[v])
+        else:
+            assert dist[v] >= bound
+
+
+@settings(max_examples=100, deadline=None)
+@given(zero_graphs())
+def test_edge_distances_answer_d_below_w_exactly(g):
+    rows = list(edge_distances(g, g.edge_items()))
+    assert [(e, w) for e, w, _, _ in rows] == g.edge_items()
+    for (u, v), w, d, parent in rows:
+        full_dist, full_parent = dijkstra(g, u)
+        assert (d < w) == (full_dist[v] < w)
+        if d < w:
+            assert d == full_dist[v] and parent[v] == full_parent[v]
+
+
+def test_edge_distances_with_an_all_zero_row():
+    """Vertex 0's listed edges all weigh 0, so its run stops at once; the
+    rows after it still read exact distances below their weights."""
+    g = Graph(4, [(0, 1, 0), (0, 2, 0), (1, 2, 3), (1, 3, 1), (2, 3, 0)], allow_zero=True)
+    rows = list(edge_distances(g, g.edge_items()))
+    assert [e for e, _, _, _ in rows] == g.edges()
+    assert [(e, d) for e, w, d, _ in rows if d < w] == [((1, 2), 0), ((1, 3), 0)]
+    parent = rows[2][3]  # the row of vertex 1: 1 -> 0 -> 2 -> 3, all at distance 0
+    assert (parent[0], parent[2], parent[3]) == (1, 0, 2)
 
 
 @settings(max_examples=40, deadline=None)

@@ -28,6 +28,7 @@ import helpers
 
 FIXTURE = Path(__file__).parent / "data" / "golden_pipeline.json"
 LARGE_FIXTURE = Path(__file__).parent / "data" / "golden_pipeline_large.json"
+SPARSE_FIXTURE = Path(__file__).parent / "data" / "golden_pipeline_sparse.json"
 KINDS = (ProblemKind.GMVD, ProblemKind.GMVID, ProblemKind.GMVDD)
 
 
@@ -63,6 +64,13 @@ def large_instances() -> list[tuple[str, Graph]]:
             g = gen_random(n, 0.15, 20 * 10**6, 3 + i % 4, 33_000 + i)
             out.append((f"decimal[{i}]", g.scaled(Fraction(1, 10**6))))
     return out
+
+
+def sparse_instances() -> list[tuple[str, Graph]]:
+    """2 seeded sparse instances at average degree about 5: n=250 with
+    integer weights and n=200 with six-decimal weights."""
+    g = gen_random(200, 5 / 199, 20 * 10**6, 5, 34_001).scaled(Fraction(1, 10**6))
+    return [("int[250]", gen_random(250, 5 / 249, 12, 4, 34_000)), ("decimal[200]", g)]
 
 
 def unit_step_instances() -> list[tuple[str, Graph]]:
@@ -135,9 +143,14 @@ def test_large_outputs_match_golden_digests():
     assert_matches(LARGE_FIXTURE, pipeline_digests(large_instances()))
 
 
+def test_sparse_outputs_match_golden_digests():
+    assert_matches(SPARSE_FIXTURE, pipeline_digests(sparse_instances()))
+
+
 if __name__ == "__main__":
     FIXTURE.parent.mkdir(exist_ok=True)
     for fixture, digests in ((FIXTURE, golden_digests()),
-                             (LARGE_FIXTURE, pipeline_digests(large_instances()))):
+                             (LARGE_FIXTURE, pipeline_digests(large_instances())),
+                             (SPARSE_FIXTURE, pipeline_digests(sparse_instances()))):
         fixture.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n",
                            encoding="utf-8")

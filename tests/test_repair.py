@@ -90,7 +90,8 @@ class TestSplitCover:
         """Forcing every edge into the plus half leaves the heavy chord's
         cycle uncovered, which the final search must report."""
         monkeypatch.setattr(repair, "dijkstra",
-                            lambda g, source: ([INFINITY] * g.n, [None] * g.n))
+                            lambda g, source, bound=INFINITY: ([INFINITY] * g.n,
+                                                               [None] * g.n))
         with pytest.raises(InternalConsistencyError, match="uncovered"):
             split_cover(k3, {(0, 2)})
 
