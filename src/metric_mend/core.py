@@ -180,11 +180,11 @@ def _parse_weight_token(token: str, line: int) -> Weight:
 
 
 #: Largest vertex count a file header may declare, so that a ten-byte header
-#: cannot ask for unbounded memory.  Only the gmvd/gmvid greedy builds an
-#: n x n distance table; an entry is an 8-byte pointer plus its own int or
-#: Fraction: about 40 bytes for an int and 80 or more for a Fraction on
-#: CPython 3.11 (measured at n = 300), so its table at 10 000 vertices takes
-#: 4 GB or more.
+#: cannot ask for unbounded memory.  No stage builds an n x n table: the
+#: gmvd/gmvid greedy holds counted rows of n entries only at the endpoints of
+#: a round's tight tops, and every other search one Dijkstra row at a time.
+#: A row entry is an 8-byte pointer plus its own int, about 40 bytes, or
+#: Fraction, 80 bytes or more, on CPython 3.11 (measured at n = 300).
 MAX_VERTICES = 10_000
 
 
@@ -362,61 +362,55 @@ def _path_from_parents(parent: list, source: int, target: int) -> list[int]:
 
 
 class DistanceTables:
-    """All-pairs shortest-path distances and shortest-path counts.
+    """Shortest-path distances and counts from some sources, a row for each.
 
     ``dist(u, v)`` is exact (INFINITY when unreachable); ``spcount(u, v)`` is
     the number of distinct shortest u-v paths as an unbounded integer, with
     the conventions spcount(v, v) = 1 and spcount = 0 for unreachable pairs.
-    Immutable after construction.  Only the greedy needs these n x n tables;
-    a question about one distance per edge goes through :func:`edge_distances`.
+    Immutable after construction.  The greedy holds rows at its tight tops'
+    endpoints only; the full tables of :func:`all_pairs_shortest_paths` are a
+    public reference that the acceptance criteria check against.
     """
 
-    __slots__ = ("n", "_dist", "_count")
+    __slots__ = ("_rows",)
 
-    def __init__(self, n: int, dist_rows: list[list], count_rows: list[list[int]]):
-        self.n = n
-        self._dist = dist_rows
-        self._count = count_rows
+    def __init__(self, rows: dict[int, tuple[list, list[int]]]):
+        self._rows = rows
 
     def dist(self, u: int, v: int):
-        return self._dist[u][v]
+        return self._rows[u][0][v]
 
     def spcount(self, u: int, v: int) -> int:
-        return self._count[u][v]
+        return self._rows[u][1][v]
 
-    def row(self, u: int) -> tuple[list, list[int]]:
-        """Rows ``dist(u, .)`` and ``spcount(u, .)`` for scans over many
-        targets: the tables' own lists, which callers must only read."""
-        return self._dist[u], self._count[u]
+    def row(self, u: int) -> tuple[list, list[int]] | None:
+        """Rows ``dist(u, .)`` and ``spcount(u, .)``, the tables' own lists
+        for callers to read only, or None when u has no row."""
+        return self._rows.get(u)
+
+
+def shortest_path_counts(g: Graph, source: int) -> tuple[list, list[int]]:
+    """``(dist, count)``: an unbounded Dijkstra row from ``source`` and the
+    number of distinct shortest paths to each vertex.
+
+    Counts are summed in increasing distance over the neighbours that
+    realize the distance (a neighbour of a reached vertex is reached); this
+    recurrence needs strictly positive weights, which the caller checks.
+    """
+    dist, _ = dijkstra(g, source)
+    count = [0] * g.n
+    count[source] = 1
+    for d, v in sorted((d, v) for v, d in enumerate(dist) if v != source and d != INFINITY):
+        count[v] = sum(count[x] for x, w in g.neighbors(v) if dist[x] + w == d)
+    return dist, count
 
 
 def all_pairs_shortest_paths(g: Graph) -> DistanceTables:
-    """Build the full distance and path-count tables.
-
-    Counts are obtained per source by processing vertices in increasing
-    distance and summing the counts of the predecessors that realize that
-    distance; strictly positive weights make the recurrence well founded, so
-    counting demands a zero-free graph.
-    """
+    """The full n x n distance and path-count tables, one
+    :func:`shortest_path_counts` row per vertex, of a zero-free graph."""
     if g.has_zero_weight():
         raise ValueError("path counting requires strictly positive weights")
-    dist_rows: list[list] = []
-    count_rows: list[list[int]] = []
-    for s in range(g.n):
-        dist, _ = dijkstra(g, s)
-        dist_rows.append(dist)
-        row = [0] * g.n
-        row[s] = 1
-        order = sorted((d, v) for v, d in enumerate(dist) if v != s and d != INFINITY)
-        for d, v in order:
-            total = 0
-            for x, w in g.neighbors(v):
-                dx = dist[x]
-                if dx != INFINITY and dx + w == d:
-                    total += row[x]
-            row[v] = total
-        count_rows.append(row)
-    return DistanceTables(g.n, dist_rows, count_rows)
+    return DistanceTables({s: shortest_path_counts(g, s) for s in range(g.n)})
 
 
 def edge_distances(h: Graph, edges: Iterable[tuple[Edge, Weight]]) -> Iterator[tuple]:
@@ -442,7 +436,8 @@ def edge_distances(h: Graph, edges: Iterable[tuple[Edge, Weight]]) -> Iterator[t
 
 
 def graph_deficit(g: Graph, tables: DistanceTables) -> Weight:
-    """Maximum cycle deficit, computed as max(w(e) - d(endpoints), 0).
+    """Maximum cycle deficit, computed as max(w(e) - d(endpoints), 0); the
+    greedy takes the same maximum from one :func:`edge_distances` pass.
 
     Every cycle's deficit is at most its top edge's excess over the endpoint
     distance, and each positive excess is realized by the cycle closing the

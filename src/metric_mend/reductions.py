@@ -25,8 +25,10 @@ from .core import (
 from .solver import ProblemKind, solve_decrease_only
 
 
-def _check_simple_edges(n: int, edges: Iterable[Edge]) -> tuple[Edge, ...]:
+def _check_simple_edges(n: int, edges: Iterable[Edge] | Graph) -> tuple[Edge, ...]:
     """Canonical sorted edges of a simple graph on n vertices; the check is Graph's."""
+    if isinstance(edges, Graph) and edges.n == n:  # a parser's: checked when built
+        return tuple(edges.edges())
     return tuple(Graph(n, ((u, v, 1) for u, v in edges)).edges())
 
 
@@ -256,7 +258,7 @@ def parse_multicut(text: str) -> MulticutInstance:
     (k,) = lines.read("D k", "missing demand section 'D k'")
     rows = (lines.read("s t", f"expected {k} demand lines, got {i}") for i in range(k))
     with lines.blame():  # the instance checks each pair as it reads its line
-        mc = MulticutInstance(n=g.n, edges=tuple(g.edges()), demands=rows)
+        mc = MulticutInstance(n=g.n, edges=g, demands=rows)
     lines.end()
     return mc
 
@@ -275,8 +277,7 @@ def parse_lbcut(text: str) -> LbCutInstance:
     g = lines.graph(weighted=False)
     source, sink, bound = lines.read("LB s t L", "missing 'LB s t L' line")
     with lines.blame():
-        lb = LbCutInstance(n=g.n, edges=tuple(g.edges()), source=source, sink=sink,
-                           bound=bound)
+        lb = LbCutInstance(n=g.n, edges=g, source=source, sink=sink, bound=bound)
     lines.end()
     return lb
 

@@ -1,12 +1,12 @@
 """Deficit-layered greedy cover solver and its counting primitives.
 
-The solver repeatedly computes the current maximum cycle deficit, counts for
-every edge how many maximum-deficit unbalanced cycles it lies on (as top edge
-and/or as non-top edge, both answerable from shortest-path distances and
-counts alone), removes the edge with the largest count from the working
-graph, and stops when no unbalanced cycle remains.  The removed edges form a
-regular cover (full variant) or a non-top cover (increase-only variant) of
-the original graph.
+The solver repeatedly finds the current maximum cycle deficit from one
+distance per edge, counts for every edge how many maximum-deficit unbalanced
+cycles it lies on (as top and/or non-top edge, from the distances and path
+counts of the tight tops' endpoints alone; no n x n table), removes the edge
+with the largest count from the working graph, and stops when no unbalanced
+cycle remains.  The removed edges form a regular cover (full variant) or a
+non-top cover (increase-only variant) of the original graph.
 """
 
 from __future__ import annotations
@@ -22,10 +22,9 @@ from .core import (
     INFINITY,
     InternalConsistencyError,
     Weight,
-    all_pairs_shortest_paths,
     canonical_edge,
     edge_distances,
-    graph_deficit,
+    shortest_path_counts,
     validate_cover,
 )
 
@@ -136,7 +135,8 @@ def count_report(g: Graph, tables: DistanceTables, delta: Weight,
     d(a, b) + delta) have cycles, and those are f plus a shortest a-b path.
     Each tight top adds count_nontop's two orientation terms to every edge,
     reading the a and b table rows once: O(tight tops * m) per call instead
-    of O(m^2).
+    of O(m^2).  Rows are needed only at tight tops' endpoints: a top whose
+    lower endpoint has no row is skipped, any other fails the tightness test.
     """
     if delta <= 0:
         raise ValueError("counts are defined for positive deficit only")
@@ -144,7 +144,9 @@ def count_report(g: Graph, tables: DistanceTables, delta: Weight,
     n_top = dict.fromkeys((e for e, _ in edges), 0)
     n_nontop = dict.fromkeys(n_top, 0)
     for (a, b), w_f in edges:
-        dist_a, count_a = tables.row(a)
+        if (row_a := tables.row(a)) is None:
+            continue
+        dist_a, count_a = row_a
         rest = w_f - delta  # the length of the non-top path of f's cycles
         if dist_a[b] != rest:
             continue
@@ -170,32 +172,33 @@ def count_report(g: Graph, tables: DistanceTables, delta: Weight,
 def greedy_solve(g: Graph, kind: ProblemKind) -> CoverSolution:
     """Greedy cover construction, one maximum-count edge per round.
 
-    Each round recomputes distances and shortest-path counts on the working
-    graph, evaluates every edge's count at the current maximum deficit,
-    removes the argmax (ties: lexicographically smallest edge), and repeats
-    until the deficit reaches zero.  The result is verified as a cover of the
-    requested kind on the original graph before returning.
+    Each round takes the maximum deficit delta as the largest excess w - d
+    of an edge of the working graph, counts every edge at delta from the
+    rows of the tight tops' (excess delta) endpoints, removes the argmax
+    (ties: lexicographically smallest edge), and repeats until the deficit
+    reaches zero.  The result is verified as a cover of the requested kind on
+    the original graph before returning.  Counting needs positive weights.
     """
     if kind not in (ProblemKind.GMVD, ProblemKind.GMVID):
         raise ValueError("greedy_solve handles the GMVD and GMVID problems")
+    if g.has_zero_weight():
+        raise ValueError("path counting requires strictly positive weights")
     work = g
     selected: list[Edge] = []
     layers: list[Weight] = []
     for _ in range(g.m + 1):
-        tables = all_pairs_shortest_paths(work)
-        delta = graph_deficit(work, tables)
-        if delta == 0:
+        # the violated edges; d < w is exact, and any other edge reads d = w
+        excess = {e: w - d for e, w, d, _ in edge_distances(work, work.edge_items()) if d < w}
+        if not excess:
             break
+        delta = max(excess.values())
+        ends = {v for e, x in excess.items() if x == delta for v in e}  # of tight tops
+        tables = DistanceTables({v: shortest_path_counts(work, v) for v in ends})
         if not layers or delta != layers[-1]:
             layers.append(delta)
         reports = count_report(work, tables, delta, kind)
-        best: Edge | None = None
-        best_count = 0
-        for e in work.edges():
-            c = reports[e].count
-            if c > best_count:
-                best, best_count = e, c
-        if best is None:
+        best = max(work.edges(), key=lambda e: reports[e].count)  # first on ties
+        if reports[best].count == 0:
             raise InternalConsistencyError(
                 "positive deficit but all edge counts are zero")
         selected.append(best)

@@ -5,8 +5,10 @@ and hashed with SHA-256; ``tests/data/golden_pipeline.json`` holds the
 digests.  A change that keeps every cover, tie-break, split, repaired weight
 and verdict passes unchanged; one that moves any output names the runs it
 moved.  ``tests/data/golden_pipeline_large.json`` does the same for a few
-larger instances (n in [24, 64]).  After a deliberate output change, rewrite
-both fixtures with
+larger instances (n in [24, 64]), ``golden_pipeline_sparse.json`` for two
+sparse ones (n = 200 and 250) and ``golden_pipeline_dense.json`` for two at
+density 0.25 (n = 80 and 120).  After a deliberate output change, rewrite
+every fixture with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -29,6 +31,7 @@ import helpers
 FIXTURE = Path(__file__).parent / "data" / "golden_pipeline.json"
 LARGE_FIXTURE = Path(__file__).parent / "data" / "golden_pipeline_large.json"
 SPARSE_FIXTURE = Path(__file__).parent / "data" / "golden_pipeline_sparse.json"
+DENSE_FIXTURE = Path(__file__).parent / "data" / "golden_pipeline_dense.json"
 KINDS = (ProblemKind.GMVD, ProblemKind.GMVID, ProblemKind.GMVDD)
 
 
@@ -71,6 +74,13 @@ def sparse_instances() -> list[tuple[str, Graph]]:
     integer weights and n=200 with six-decimal weights."""
     g = gen_random(200, 5 / 199, 20 * 10**6, 5, 34_001).scaled(Fraction(1, 10**6))
     return [("int[250]", gen_random(250, 5 / 249, 12, 4, 34_000)), ("decimal[200]", g)]
+
+
+def dense_instances() -> list[tuple[str, Graph]]:
+    """2 seeded instances at density 0.25: n=80 with six-decimal weights and
+    n=120 with integer weights, where the greedy runs tens of rounds."""
+    g = gen_random(80, 0.25, 20 * 10**6, 4, 35_000).scaled(Fraction(1, 10**6))
+    return [("decimal[80]", g), ("int[120]", gen_random(120, 0.25, 12, 4, 35_001))]
 
 
 def unit_step_instances() -> list[tuple[str, Graph]]:
@@ -147,10 +157,15 @@ def test_sparse_outputs_match_golden_digests():
     assert_matches(SPARSE_FIXTURE, pipeline_digests(sparse_instances()))
 
 
+def test_dense_outputs_match_golden_digests():
+    assert_matches(DENSE_FIXTURE, pipeline_digests(dense_instances()))
+
+
 if __name__ == "__main__":
     FIXTURE.parent.mkdir(exist_ok=True)
     for fixture, digests in ((FIXTURE, golden_digests()),
                              (LARGE_FIXTURE, pipeline_digests(large_instances())),
-                             (SPARSE_FIXTURE, pipeline_digests(sparse_instances()))):
+                             (SPARSE_FIXTURE, pipeline_digests(sparse_instances())),
+                             (DENSE_FIXTURE, pipeline_digests(dense_instances()))):
         fixture.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n",
                            encoding="utf-8")

@@ -251,3 +251,29 @@ class TestSourceFormats:
     def test_comments_allowed(self):
         mc = parse_multicut("# instance\n3 2\n0 1\n1 2\nD 1\n0 2\n")
         assert mc.demands == ((0, 2),)
+
+    @pytest.mark.parametrize("parse, text", [
+        (parse_multicut, "4 3\n0 1\n1 2\n2 3\nD 1\n0 3\n"),
+        (parse_lbcut, "4 3\n0 1\n1 2\n2 3\nLB 0 3 2\n"),
+    ], ids=["multicut", "lbcut"])
+    def test_parse_checks_the_edges_with_one_graph(self, monkeypatch, parse, text):
+        builds = []
+        init = Graph.__init__
+
+        def counting_init(self, *args, **kwargs):
+            builds.append(args[0])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Graph, "__init__", counting_init)
+        assert parse(text).edges == ((0, 1), (1, 2), (2, 3))
+        assert builds == [4]
+
+    @pytest.mark.parametrize("parse, text, message", [
+        (parse_multicut, "3 2\n0 1\n0 1\nD 0\n", "line 3: duplicate edge \\(0, 1\\)"),
+        (parse_multicut, "3 2\n0 1\n1 3\nD 0\n", "line 3: vertex id out of range"),
+        (parse_lbcut, "3 2\n0 1\n1 1\nLB 0 2 1\n", "line 3: self-loop at vertex 1"),
+        (parse_lbcut, "3 2\n0 1\n1 2\nLB 0 0 1\n", "line 4: source and sink must differ"),
+    ], ids=["duplicate", "out-of-range", "self-loop", "terminals"])
+    def test_bad_edge_or_terminal_names_its_line(self, parse, text, message):
+        with pytest.raises(InstanceFormatError, match=message):
+            parse(text)

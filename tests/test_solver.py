@@ -1,17 +1,22 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from metric_mend.core import (
+    DistanceTables,
     Graph,
     all_pairs_shortest_paths,
     graph_deficit,
+    shortest_path_counts,
     validate_cover,
 )
 from metric_mend.oracle import brute_count, enumerate_unbalanced_cycles, exact_min_cover
+from metric_mend.reductions import gen_random
 from metric_mend.solver import (
     CoverSolution,
     ProblemKind,
@@ -180,6 +185,25 @@ class TestGreedySolve:
                     bound = len(sol.layer_deficits) * (1 + math.log(len(inventory))) * opt.size
                     assert sol.size <= bound
 
+    @pytest.mark.parametrize("kind", [ProblemKind.GMVD, ProblemKind.GMVID])
+    def test_rejects_zero_weights(self, kind):
+        # a zero weight breaks path counting; (0, 2) still tops a deficit-3 cycle
+        g = Graph(4, [(0, 1, 0), (1, 2, 1), (0, 2, 5), (2, 3, 1)], allow_zero=True)
+        with pytest.raises(ValueError, match="strictly positive"):
+            greedy_solve(g, kind)
+
+    def test_sparse_peak_memory(self):
+        """Rows only at tight-top endpoints: no n x n table at n = 400."""
+        g = gen_random(400, 5 / 400, 10, 3, seed=7)
+        tracemalloc.start()
+        try:
+            sol = greedy_solve(g, ProblemKind.GMVD)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sol.edges
+        assert peak < 2 * 2**20
+
     def test_rescaling_keeps_selection_order(self):
         g = helpers.rational_instance(n=6, violations=2, seed=321)
         scaled = g.scaled(Fraction(7, 3))
@@ -222,3 +246,55 @@ class TestCoverSolution:
             CoverSolution(kind=ProblemKind.GMVD, edges=((0, 1), (1, 2)),
                           roles=(Role.UNASSIGNED,) * 2,
                           layer_deficits=(Fraction(1), Fraction(2)))
+
+
+def _count_graphs(draw, max_n=8):
+    """Small graphs with int and Fraction weights, drawn from few values so
+    that path counts and edge counts tie; a split point makes them
+    disconnected when it falls inside the vertex range."""
+    n = draw(st.integers(3, max_n))
+    split = draw(st.integers(0, n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if (u < split) == (v < split)]
+    chosen = [pair for pair in pairs if draw(st.booleans())]
+    halves = st.sampled_from([Fraction(1, 2), Fraction(3, 2), Fraction(9, 2)])
+    weights = draw(st.lists(st.one_of(st.integers(1, 6), halves),
+                            min_size=len(chosen), max_size=len(chosen)))
+    return Graph(n, [(u, v, w) for (u, v), w in zip(chosen, weights)])
+
+
+count_graphs = st.composite(_count_graphs)
+
+
+def _replay(g: Graph, kind: ProblemKind) -> CoverSolution:
+    """The greedy from full tables: graph_deficit, count_report, argmax."""
+    work, edges, layers = g, [], []
+    while (delta := graph_deficit(work, tables := all_pairs_shortest_paths(work))) > 0:
+        if not layers or delta != layers[-1]:
+            layers.append(delta)
+        reports = count_report(work, tables, delta, kind)
+        edges.append(min(work.edges(), key=lambda e: (-reports[e].count, e)))
+        work = work.without_edges(edges[-1:])
+    role = Role.INCREASE if kind is ProblemKind.GMVID else Role.UNASSIGNED
+    return CoverSolution(kind=kind, edges=tuple(edges), roles=(role,) * len(edges),
+                         layer_deficits=tuple(layers))
+
+
+@settings(max_examples=150, deadline=None)
+@given(count_graphs(), st.sampled_from([ProblemKind.GMVD, ProblemKind.GMVID]))
+def test_greedy_matches_full_table_replay(g, kind):
+    assert greedy_solve(g, kind) == _replay(g, kind)
+
+
+@settings(max_examples=150, deadline=None)
+@given(count_graphs(), st.sampled_from([ProblemKind.GMVD, ProblemKind.GMVID]), st.data())
+def test_count_report_needs_rows_only_at_tight_tops(g, kind, data):
+    full = all_pairs_shortest_paths(g)
+    delta = graph_deficit(g, full)
+    if delta == 0:
+        return
+    ends = {v for (a, b), w in g.edge_items() if w - full.dist(a, b) == delta for v in (a, b)}
+    # rows at further vertices change nothing either
+    extra = data.draw(st.sets(st.integers(0, g.n - 1)))
+    for sources in (ends, ends | extra):
+        partial = DistanceTables({v: shortest_path_counts(g, v) for v in sources})
+        assert count_report(g, partial, delta, kind) == count_report(g, full, delta, kind)
