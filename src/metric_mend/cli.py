@@ -35,11 +35,11 @@ from .core import (
     validate_cover,
 )
 from .oracle import (
+    DEFAULT_BUDGET,
     BudgetExceededError,
     WorkBudget,
     brute_lbcut,
     brute_multicut,
-    default_budget,
     enumerate_unbalanced_cycles,
     exact_min_cover,
 )
@@ -61,11 +61,6 @@ def _read_text(path: str) -> str:
         before = data[:exc.start].decode("utf-8")
         raise InstanceFormatError(f"byte 0x{data[exc.start]:02x} is not UTF-8 text",
                                   len((before + "x").splitlines())) from None
-
-
-def _oracle_budget(args) -> WorkBudget:
-    """``--oracle-budget`` when given, 0 meaning no oracle work; else the default."""
-    return default_budget() if args.oracle_budget is None else WorkBudget(args.oracle_budget)
 
 
 def _edge_json(e: Edge) -> list[int]:
@@ -286,7 +281,7 @@ def cmd_check(args) -> int:
 
 def cmd_reduce(args) -> int:
     text = _read_text(args.source)
-    budget = _oracle_budget(args)
+    budget = WorkBudget(args.oracle_budget)
 
     if args.which == "multicut":
         mc = reductions.parse_multicut(text)
@@ -356,7 +351,7 @@ def cmd_generate(args) -> int:
 
 def cmd_oracle(args) -> int:
     g = parse_instance(_read_text(args.instance))
-    budget = _oracle_budget(args)
+    budget = WorkBudget(args.oracle_budget)
     report: dict = {"command": "oracle", "what": args.what,
                     "instance": _instance_summary(g, args.instance)}
     if args.what == "inventory":
@@ -406,7 +401,7 @@ def cmd_bench(args) -> int:
             row["repair_s"] = result.timings["repair_s"]
             row["repair_metric"] = result.verdicts["repaired_metric"]
         try:
-            opt = exact_min_cover(g, kind.cover_kind, budget=_oracle_budget(args))
+            opt = exact_min_cover(g, kind.cover_kind, budget=WorkBudget(args.oracle_budget))
             row["opt"] = opt.size
             row["ratio"] = (len(result.cover) / opt.size) if opt.size else 1.0
         except BudgetExceededError:
@@ -444,6 +439,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "machine"), default="text",
                         help="report style: human text or JSON")
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--oracle-budget", type=int, default=DEFAULT_BUDGET,
+                        help="work cap for the exhaustive oracle; 0 allows no oracle work")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", parents=[common],
@@ -462,15 +460,13 @@ def build_parser() -> argparse.ArgumentParser:
                    default="regular")
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("reduce", parents=[common],
+    p = sub.add_parser("reduce", parents=[common, budget],
                        help="apply one of the constructive reductions")
     p.add_argument("which", choices=("multicut", "lbcut", "gmvid2gmvd"))
     p.add_argument("source", help="multicut: edge list + 'D k' demands; "
                                   "lbcut: edge list + 'LB s t L'; "
                                   "gmvid2gmvd: weighted instance file")
     p.add_argument("--out", required=True)
-    p.add_argument("--oracle-budget", type=int, default=None,
-                   help="work cap for the optimum cross-check")
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("generate", parents=[common],
@@ -483,15 +479,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("oracle", parents=[common],
+    p = sub.add_parser("oracle", parents=[common, budget],
                        help="exhaustive ground truth for small instances")
     p.add_argument("instance")
     p.add_argument("--what", choices=("inventory", "mincover"), default="inventory")
     p.add_argument("--cover-kind", choices=("regular", "nontop"), default="regular")
-    p.add_argument("--oracle-budget", type=int, default=None)
     p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("bench", parents=[common],
+    p = sub.add_parser("bench", parents=[common, budget],
                        help="generate, solve, and cross-check a family of instances")
     p.add_argument("--kind", choices=("gmvd", "gmvid"), default="gmvd")
     p.add_argument("--n", type=int, default=6)
@@ -501,7 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--repair", action="store_true")
-    p.add_argument("--oracle-budget", type=int, default=None)
     p.set_defaults(func=cmd_bench)
     return parser
 

@@ -10,8 +10,10 @@ only the unreachable sentinel.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
@@ -132,10 +134,12 @@ class Graph:
         return Graph(self.n, items, allow_zero=True)
 
     def scaled(self, factor) -> "Graph":
-        """Multiply every weight by a positive rational factor."""
+        """Multiply every weight by a positive rational factor (1: this graph)."""
         f = _as_weight(factor)
         if f <= 0:
             raise ValueError("scale factor must be positive")
+        if f == 1:
+            return self
         return Graph(self.n, [(u, v, wf * f) for (u, v), wf in self._weights.items()],
                      allow_zero=True)
 
@@ -148,7 +152,7 @@ class Graph:
         found there maps back exactly as ``Fraction(w, L)``.
         """
         scale = math.lcm(*(w.denominator for w in self._weights.values()))
-        return (self if scale == 1 else self.scaled(scale)), scale
+        return self.scaled(scale), scale
 
     def has_zero_weight(self) -> bool:
         return any(w == 0 for w in self._weights.values())
@@ -186,6 +190,7 @@ def _parse_weight_token(token: str, line: int) -> Weight:
 #: A row entry is an 8-byte pointer plus its own int, about 40 bytes, or
 #: Fraction, 80 bytes or more, on CPython 3.11 (measured at n = 300).
 MAX_VERTICES = 10_000
+_pow10 = functools.cache((10).__pow__)
 
 
 class LineReader:
@@ -263,15 +268,31 @@ class LineReader:
         rows = (self.read("u v w" if weighted else "u v", f"expected {m} edge lines, got {i}")
                 for i in range(m))
         with self.blame():
-            return Graph(n, rows if weighted else ((u, v, 1) for u, v in rows))
+            return Graph(n, self._printable(rows) if weighted else ((u, v, 1) for u, v in rows))
+
+    def _printable(self, rows: Iterator[tuple]) -> Iterator[tuple]:
+        """The weighted rows, up to the first line after which a reported number
+        (numerator at most 2 * L * max(1, max w) over a divisor of the common
+        denominator L) could pass the int-to-str digit limit: an input error."""
+        limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit, as before 3.10.7
+        scale, num, den = 1, 1, 1  # L and max(1, max w) = num / den so far
+        for u, v, w in rows:
+            p, q = w.numerator, w.denominator
+            if scale % q or p * den > num * q:  # in ints: a Fraction comparison is slower
+                scale = math.lcm(scale, q)
+                num, den = (p, q) if p * den > num * q else (num, den)
+                if limit and 2 * scale * num >= _pow10(limit) * den:
+                    raise InstanceFormatError(f"weights need more than {limit} digits"
+                                              " over their common denominator", self.lineno)
+            yield u, v, w
 
 
 def parse_instance(text: str) -> Graph:
     """Parse the shared edge-list instance format.
 
     First significant line is ``n m``; then exactly m lines ``u v w`` where w
-    is a positive integer or fraction ``p/q``.  ``#`` starts a comment.  All
-    violations are reported with their line number.
+    is a positive integer or fraction ``p/q`` that ``LineReader._printable``
+    admits.  ``#`` starts a comment; every error names its line.
     """
     lines = LineReader(text)
     g = lines.graph()

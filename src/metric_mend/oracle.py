@@ -11,7 +11,6 @@ that checker cannot move the greedy and its ground truth together.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
@@ -28,7 +27,6 @@ from .core import (
 )
 from .solver import CoverSolution, ProblemKind, Role
 
-_ENV_BUDGET = "METRIC_MEND_BUDGET"
 DEFAULT_BUDGET = 5_000_000
 
 
@@ -51,15 +49,6 @@ class WorkBudget:
         self.used += amount
         if self.used > self.limit:
             raise BudgetExceededError(f"work budget of {self.limit} exhausted")
-
-
-def default_budget() -> WorkBudget:
-    raw = os.environ.get(_ENV_BUDGET, str(DEFAULT_BUDGET))
-    try:
-        limit = int(raw)
-    except ValueError:
-        raise InstanceFormatError(f"{_ENV_BUDGET} must be an integer, got {raw!r}") from None
-    return WorkBudget(limit)
 
 
 @dataclass(frozen=True)
@@ -107,7 +96,7 @@ def enumerate_unbalanced_cycles(g: Graph, budget: WorkBudget | None = None) -> C
     interpreter's recursion limit.
     """
     if budget is None:
-        budget = default_budget()
+        budget = WorkBudget(DEFAULT_BUDGET)
     found: list[CycleWitness] = []
     on_path = [False] * g.n
 
@@ -164,7 +153,7 @@ def _first_subset(items: list, accepts, budget: WorkBudget | None) -> tuple:
     lexicographically first minimum; each subset tried costs one budget unit.
     """
     if budget is None:
-        budget = default_budget()
+        budget = WorkBudget(DEFAULT_BUDGET)
     for k in range(len(items) + 1):
         for combo in combinations(items, k):
             budget.charge()
@@ -188,7 +177,7 @@ def exact_min_cover(g: Graph, kind: CoverKind, budget: WorkBudget | None = None)
     else:
         raise ValueError("exact_min_cover supports regular and nontop covers")
     if budget is None:
-        budget = default_budget()
+        budget = WorkBudget(DEFAULT_BUDGET)
     inventory = enumerate_unbalanced_cycles(g, budget=budget)
     parts = [c.edges if kind is CoverKind.REGULAR else c.nontop for c in inventory.cycles]
     candidates = sorted({e for part in parts for e in part})

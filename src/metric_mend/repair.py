@@ -8,15 +8,14 @@ unbalanced cycle and applies a safe weight move on one of its covered edges
 until no unbalanced cycle remains.  A move is safe when it creates no
 unbalanced cycle that escapes the (decrease half as top cover, increase half
 as non-top cover) pair, which `find_uncovered_cycle` decides exactly.
-Instead of unit steps, each move jumps as far as its limit allows, which
-keeps the number of rounds small without changing the contract.  Both limits
-are closed forms: an increase of a non-top edge stops at the shortest path
-between its endpoints that avoids the increase half or at the deficit,
-whichever comes first (one Dijkstra run, stopped where the deficit would
-take the edge), and a decrease of the top edge goes straight to balancing
-the witness cycle, which the split invariant makes safe (see
-`_apply_safe_move`).  The loop runs one cycle search per move and none to
-probe a move.
+Each move jumps as far as its limit allows, so one move does the work of
+many of the existence argument's unit steps.  Both limits are closed forms:
+an increase of a non-top edge stops at the shortest path between its
+endpoints that avoids the increase half or at the deficit, whichever comes
+first (one Dijkstra run, stopped where the deficit would take the edge), and
+a decrease of the top edge goes straight to balancing the witness cycle,
+which the split invariant makes safe (see `_apply_safe_move`).  The loop runs
+one cycle search per move and none to probe a move.
 """
 
 from __future__ import annotations
@@ -110,8 +109,7 @@ def split_cover(g: Graph, cover: Iterable[Edge]) -> SplitCover:
     return split
 
 
-def repair_weights(g: Graph, split: SplitCover, *,
-                   unit_steps: bool = False) -> RepairOutcome:
+def repair_weights(g: Graph, split: SplitCover) -> RepairOutcome:
     """Adjust cover-edge weights until the graph is metric.
 
     ``split`` gives the edges that may only rise (``s_plus``) and those that
@@ -120,11 +118,9 @@ def repair_weights(g: Graph, split: SplitCover, *,
     with an empty decrease half.  Weights are scaled to integers by the least
     common denominator, moves never push a weight above the original maximum
     L and never reach 0, and the loop stops at the first metric state rather
-    than driving the cover to the extremes.
-
-    By default each move jumps as far as its limit allows;
-    ``unit_steps`` restricts every move to a single scaled unit, which is
-    slower but mirrors the existence argument step for step.
+    than driving the cover to the extremes.  Each move jumps as far as its
+    limit allows, shifting one weight monotonically within (0, L] by at least
+    one scaled unit, so the cover size times the scaled L bounds the moves.
     """
     s_plus, s_minus = split.s_plus, split.s_minus
     witness = find_uncovered_cycle(g, s_minus, s_plus)
@@ -140,7 +136,7 @@ def repair_weights(g: Graph, split: SplitCover, *,
         witness = find_uncovered_cycle(work, frozenset(), frozenset())
         if witness is None:
             break
-        moved = _apply_safe_move(work, witness, s_plus, s_minus, unit_steps)
+        moved = _apply_safe_move(work, witness, s_plus, s_minus)
         if moved is None:
             raise InternalConsistencyError(
                 f"no safe move on witness cycle {witness}")
@@ -155,7 +151,7 @@ def repair_weights(g: Graph, split: SplitCover, *,
 
 
 def _apply_safe_move(work: Graph, witness: CycleWitness, s_plus: frozenset[Edge],
-                     s_minus: frozenset[Edge], unit_steps: bool) -> Graph | None:
+                     s_minus: frozenset[Edge]) -> Graph | None:
     """One committed move on the witness cycle, or None if no candidate is safe."""
     deficit = witness.deficit
 
@@ -167,11 +163,9 @@ def _apply_safe_move(work: Graph, witness: CycleWitness, s_plus: frozenset[Edge]
         # The move never goes past w_f + deficit, so neither does the search:
         # a limit at or past it reads some value >= w_f + deficit, and the
         # deficit is a positive int on the scaled graph.
-        target = w_f + deficit
-        dist, _ = dijkstra(work.without_edges(s_plus), f[0], target)
-        limit = dist[f[1]]
-        if limit >= w_f + 1:
-            return work.with_weight(f, w_f + 1 if unit_steps else min(target, limit))
+        dist, _ = dijkstra(work.without_edges(s_plus), f[0], w_f + deficit)
+        if (limit := min(w_f + deficit, dist[f[1]])) > w_f:
+            return work.with_weight(f, limit)
 
     t = witness.top
     if t in s_minus:
@@ -184,8 +178,7 @@ def _apply_safe_move(work: Graph, witness: CycleWitness, s_plus: frozenset[Edge]
         # half (hence t) stands in for g, giving d(x, y) <= |P| <= v; and since
         # d(a, b) >= w_f on entry, no such f exists.  The shortest-path limit
         # of a decrease therefore never binds before the deficit does.
-        w_t = work.weight(*t)
-        return work.with_weight(t, w_t - 1 if unit_steps else w_t - deficit)
+        return work.with_weight(t, work.weight(*t) - deficit)
     return None
 
 

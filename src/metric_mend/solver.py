@@ -173,22 +173,22 @@ def greedy_solve(g: Graph, kind: ProblemKind) -> CoverSolution:
     """Greedy cover construction, one maximum-count edge per round.
 
     Each round takes the maximum deficit delta as the largest excess w - d
-    of an edge of the working graph, counts every edge at delta from the
-    rows of the tight tops' (excess delta) endpoints, removes the argmax
-    (ties: lexicographically smallest edge), and repeats until the deficit
-    reaches zero.  The result is verified as a cover of the requested kind on
-    the original graph before returning.  Counting needs positive weights.
+    over the edges the last round found violated, counts every edge at delta
+    from the rows of the tight tops' (excess delta) endpoints, removes the
+    argmax (ties: lexicographically smallest edge), and repeats until the
+    deficit reaches zero.  The result is verified as a cover of the requested
+    kind on the original graph.  Counting needs positive weights.
     """
     if kind not in (ProblemKind.GMVD, ProblemKind.GMVID):
         raise ValueError("greedy_solve handles the GMVD and GMVID problems")
     if g.has_zero_weight():
         raise ValueError("path counting requires strictly positive weights")
-    work = g
+    work, violated = g, g.edge_items()
     selected: list[Edge] = []
     layers: list[Weight] = []
     for _ in range(g.m + 1):
         # the violated edges; d < w is exact, and any other edge reads d = w
-        excess = {e: w - d for e, w, d, _ in edge_distances(work, work.edge_items()) if d < w}
+        excess = {e: w - d for e, w, d, _ in edge_distances(work, violated) if d < w}
         if not excess:
             break
         delta = max(excess.values())
@@ -203,6 +203,8 @@ def greedy_solve(g: Graph, kind: ProblemKind) -> CoverSolution:
                 "positive deficit but all edge counts are zero")
         selected.append(best)
         work = work.without_edges([best])
+        # removing an edge only lengthens distances, so no other edge turns violated
+        violated = [(e, work.weight(*e)) for e in excess if e != best]
     else:
         raise InternalConsistencyError("cover loop failed to terminate")
 

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import metric_mend
 from metric_mend.core import (
     CoverKind,
     Graph,
@@ -402,8 +403,19 @@ class TestWeightTypes:
         assert scaled.integer_scaled() == (scaled, 1)
 
 
+    def test_scaling_by_one_keeps_the_graph(self, k3):
+        assert k3.scaled(1) is k3 and k3.scaled(Fraction(3, 3)) is k3
+        assert k3.integer_scaled()[0] is k3
+
+
 def test_shared_k3_fixture_text(k3):
     assert parse_instance(K3_TEXT) == k3
+
+
+def test_every_public_name_resolves():
+    for name in metric_mend.__all__:
+        assert getattr(metric_mend, name) is not None, name
+    assert len(set(metric_mend.__all__)) == len(metric_mend.__all__)
 
 
 _TOKENS = st.sampled_from(["0", "1", "2", "3", "-1", "7", "10001", "1/2", "3/0", "-2/3",

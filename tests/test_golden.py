@@ -23,8 +23,7 @@ from pathlib import Path
 from metric_mend.cli import run_pipeline
 from metric_mend.core import Graph, format_weight, serialize_instance
 from metric_mend.reductions import gen_random
-from metric_mend.repair import repair_weights, split_cover
-from metric_mend.solver import ProblemKind, greedy_solve
+from metric_mend.solver import ProblemKind
 
 import helpers
 
@@ -83,9 +82,9 @@ def dense_instances() -> list[tuple[str, Graph]]:
     return [("decimal[80]", g), ("int[120]", gen_random(120, 0.25, 12, 4, 35_001))]
 
 
-def unit_step_instances() -> list[tuple[str, Graph]]:
-    """Small integer instances whose unit-step gmvd repair stays short."""
-    return [(f"unit[{i}]", gen_random(4 + i % 3, 0.7, 6, 1 + i % 3, 32_000 + i))
+def small_instances() -> list[tuple[str, Graph]]:
+    """30 seeded instances, n in [4, 6], with integer weights 1-6."""
+    return [(f"small[{i}]", gen_random(4 + i % 3, 0.7, 6, 1 + i % 3, 32_000 + i))
             for i in range(30)]
 
 
@@ -114,13 +113,6 @@ def pipeline_record(g: Graph, kind: ProblemKind) -> dict:
     }
 
 
-def unit_step_record(g: Graph) -> dict:
-    split = split_cover(g, greedy_solve(g, ProblemKind.GMVD).edges)
-    out = repair_weights(g, split, unit_steps=True)
-    return {"final": serialize_instance(out.graph), "changed": _changed(out.changed),
-            "steps": out.steps}
-
-
 def digest(record: dict) -> str:
     text = json.dumps(record, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
@@ -132,10 +124,7 @@ def pipeline_digests(instances: list[tuple[str, Graph]]) -> dict[str, str]:
 
 
 def golden_digests() -> dict[str, str]:
-    out = pipeline_digests(golden_instances())
-    for name, g in unit_step_instances():
-        out[f"{name}/gmvd-unit"] = digest(unit_step_record(g))
-    return out
+    return pipeline_digests(golden_instances() + small_instances())
 
 
 def assert_matches(fixture: Path, actual: dict[str, str]) -> None:

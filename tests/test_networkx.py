@@ -1,5 +1,6 @@
 """Differential checks against networkx, an implementation that shares no code
-with metric_mend: simple-cycle enumeration and shortest-path counting."""
+with metric_mend: simple-cycle enumeration, shortest-path counting, and the
+covers and repairs of the pipeline at n = 300 and 600."""
 
 from __future__ import annotations
 
@@ -8,8 +9,11 @@ from fractions import Fraction
 
 import pytest
 
+from metric_mend.cli import run_pipeline
 from metric_mend.core import INFINITY, Graph, all_pairs_shortest_paths
 from metric_mend.oracle import enumerate_unbalanced_cycles
+from metric_mend.reductions import gen_random
+from metric_mend.solver import ProblemKind
 
 nx = pytest.importorskip("networkx")
 
@@ -57,3 +61,41 @@ def test_spcount_matches_networkx(n):
         for t in range(n):
             assert tables.dist(s, t) == dist.get(t, INFINITY)
             assert tables.spcount(s, t) == count.get(t, 0)
+
+
+def _shorter_pairs(n: int, items, removed, edges) -> list:
+    """The listed edges (u, v, w) with a u-v path shorter than w in the graph
+    of ``items`` without the ``removed`` pairs, by networkx Dijkstra alone."""
+    reference = nx.Graph()
+    reference.add_nodes_from(range(n))
+    reference.add_weighted_edges_from((u, v, w) for u, v, w in items if (u, v) not in removed)
+    by_source: dict[int, list] = {}
+    for u, v, w in edges:
+        by_source.setdefault(u, []).append((v, w))
+    shorter = []
+    for u, row in by_source.items():
+        dist = nx.single_source_dijkstra_path_length(reference, u,
+                                                     cutoff=max(w for _, w in row))
+        shorter += [(u, v, w) for v, w in row if dist.get(v, w) < w]
+    return shorter
+
+
+@pytest.mark.parametrize("n, density, seed", [(300, 0.02, 1), (600, 0.008, 2)])
+def test_pipeline_at_scale_against_networkx(n, density, seed):
+    """Covers of all three kinds and their repairs, at sizes no oracle reaches."""
+    g = gen_random(n, density, 10, 3, seed=seed)
+    items = [(u, v, w) for (u, v), w in g.edge_items()]
+    assert _shorter_pairs(n, items, set(), items)  # the input is not metric
+    for kind in ProblemKind:
+        result = run_pipeline(g, kind, repair=True)
+        cover = set(result.cover)
+        outside = [(u, v, w) for u, v, w in items if (u, v) not in cover]
+        if kind is ProblemKind.GMVD:  # no cycle with top and non-tops all outside
+            assert not _shorter_pairs(n, items, cover, outside)
+        elif kind is ProblemKind.GMVID:  # no cycle with every non-top outside
+            assert not _shorter_pairs(n, items, cover, items)
+        else:  # no cycle with its top outside
+            assert not _shorter_pairs(n, items, set(), outside)
+        final = [(u, v, w) for (u, v), w in result.final.edge_items()]
+        assert not _shorter_pairs(n, final, set(), final)  # the repair is metric
+        assert {(u, v) for u, v, w in final if w != g.weight(u, v)} <= cover

@@ -16,6 +16,7 @@ from metric_mend.core import (
     validate_cover,
 )
 from metric_mend.oracle import exact_min_cover
+from metric_mend.reductions import gen_random
 from metric_mend.repair import (
     CoverInvalidError,
     SplitCover,
@@ -130,9 +131,9 @@ class TestRepairWeights:
         original = repair._apply_safe_move
         decreases = blocked = 0
 
-        def checked(work, witness, s_plus, s_minus, unit_steps):
+        def checked(work, witness, s_plus, s_minus):
             nonlocal decreases, blocked
-            moved = original(work, witness, s_plus, s_minus, unit_steps)
+            moved = original(work, witness, s_plus, s_minus)
             assert moved is None or not moved.has_zero_weight()  # repair never makes a 0
             t = witness.top
             if t in s_minus and (moved is None or moved.weight(*t) != work.weight(*t)):
@@ -165,8 +166,10 @@ class TestRepairWeights:
             assert new > old
 
     def test_contract_on_random_instances(self):
-        for idx in range(30):
-            g = helpers.rational_instance(n=4 + idx % 5, violations=idx % 4, seed=8200 + idx)
+        instances = [helpers.rational_instance(n=4 + idx % 5, violations=idx % 4,
+                                               seed=8200 + idx) for idx in range(30)]
+        instances += [gen_random(5, 0.7, 6, 1 + idx % 3, seed=90_000 + idx) for idx in range(12)]
+        for g in instances:
             cap = max(w for _, w in g.edge_items())
             gd = greedy_solve(g, ProblemKind.GMVD)
             split = split_cover(g, gd.edges)
@@ -174,7 +177,7 @@ class TestRepairWeights:
             assert is_metric(out.graph)
             assert set(out.changed) <= set(gd.edges)
             for e, (old, new) in out.changed.items():
-                assert 0 <= new <= cap
+                assert 0 < new <= cap  # a jump stops at |P| > 0
                 if e in split.s_plus:
                     assert new > old
                 else:
@@ -187,30 +190,6 @@ class TestRepairWeights:
             assert is_metric(out.graph)
             assert all(new >= old for old, new in out.changed.values())
             assert all(new <= cap for _, new in out.changed.values())
-
-
-class TestUnitStepVariant:
-    def test_unit_trace(self, k3):
-        out = repair_weights(k3, helpers.increase_only([(0, 1)]), unit_steps=True)
-        assert out.graph.weight(0, 1) == 4
-        assert out.steps == 3  # one scaled unit per round
-
-    def test_both_variants_satisfy_the_contract(self):
-        from metric_mend.reductions import gen_random
-        for idx in range(12):
-            g = gen_random(5, 0.7, 6, 1 + idx % 3, seed=90_000 + idx)
-            cap = max(w for _, w in g.edge_items())
-            cover = greedy_solve(g, ProblemKind.GMVD).edges
-            split = split_cover(g, cover)
-            outcomes = [repair_weights(g, split, unit_steps=flag)
-                        for flag in (False, True)]
-            assert outcomes[0].steps <= outcomes[1].steps
-            for out in outcomes:
-                assert is_metric(out.graph)
-                assert set(out.changed) <= set(cover)
-                for e, (old, new) in out.changed.items():
-                    assert 0 < new <= cap  # a jump stops at |P| > 0; a unit step lowers w >= 2
-                    assert (new > old) == (e in split.s_plus)
 
 
 class TestLiftZeroEdges:

@@ -3,14 +3,17 @@ from __future__ import annotations
 import math
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from metric_mend import solver
 from metric_mend.core import (
     DistanceTables,
     Graph,
     all_pairs_shortest_paths,
+    edge_distances,
     graph_deficit,
     shortest_path_counts,
     validate_cover,
@@ -298,3 +301,26 @@ def test_count_report_needs_rows_only_at_tight_tops(g, kind, data):
     for sources in (ends, ends | extra):
         partial = DistanceTables({v: shortest_path_counts(g, v) for v in sources})
         assert count_report(g, partial, delta, kind) == count_report(g, full, delta, kind)
+
+
+@settings(max_examples=150, deadline=None)
+@given(count_graphs(), st.sampled_from([ProblemKind.GMVD, ProblemKind.GMVID]))
+def test_each_round_asks_enough_edges(g, kind):
+    """Every round's excess map, asked of the last round's violated edges
+    only, equals a full pass over the working graph's edges."""
+    rounds = []
+
+    def checked(work, edges):
+        edges = list(edges)
+        assert edges == sorted(edges)
+        asked = list(edge_distances(work, edges))
+        excess = {e: w - d for e, w, d, _ in asked if d < w}
+        full = {e: w - d for e, w, d, _ in edge_distances(work, work.edge_items()) if d < w}
+        assert excess == full
+        rounds.append(len(edges))
+        return iter(asked)
+
+    with mock.patch.object(solver, "edge_distances", checked):
+        cover = greedy_solve(g, kind)
+    assert len(rounds) == cover.size + 1
+    assert rounds[0] == g.m and all(a >= b for a, b in zip(rounds, rounds[1:]))
