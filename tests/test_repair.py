@@ -166,10 +166,8 @@ class TestRepairWeights:
             assert new > old
 
     def test_contract_on_random_instances(self):
-        instances = [helpers.rational_instance(n=4 + idx % 5, violations=idx % 4,
-                                               seed=8200 + idx) for idx in range(30)]
-        instances += [gen_random(5, 0.7, 6, 1 + idx % 3, seed=90_000 + idx) for idx in range(12)]
-        for g in instances:
+        for idx in range(30):
+            g = helpers.rational_instance(n=4 + idx % 5, violations=idx % 4, seed=8200 + idx)
             cap = max(w for _, w in g.edge_items())
             gd = greedy_solve(g, ProblemKind.GMVD)
             split = split_cover(g, gd.edges)
@@ -190,6 +188,50 @@ class TestRepairWeights:
             assert is_metric(out.graph)
             assert all(new >= old for old, new in out.changed.values())
             assert all(new <= cap for _, new in out.changed.values())
+
+
+def unit_step_repair(monkeypatch, g, split):
+    """``repair_weights`` with every move cut to one scaled unit.
+
+    The walk moves the same edge in the same direction as the jump would, so
+    it is the slowest repair the move rules allow: a reference the jumps must
+    match in outcome contract and never exceed in steps.
+    """
+    original = repair._apply_safe_move
+
+    def one_unit(work, witness, s_plus, s_minus):
+        moved = original(work, witness, s_plus, s_minus)
+        if moved is None:
+            return None
+        (e, w), = [(e, w) for e, w in moved.edge_items() if w != work.weight(*e)]
+        old = work.weight(*e)
+        return work.with_weight(e, old + 1 if w > old else old - 1)
+
+    with monkeypatch.context() as m:
+        m.setattr(repair, "_apply_safe_move", one_unit)
+        return repair_weights(g, split)
+
+
+class TestUnitStepVariant:
+    def test_unit_trace(self, monkeypatch, k3):
+        out = unit_step_repair(monkeypatch, k3, helpers.increase_only([(0, 1)]))
+        assert out.graph.weight(0, 1) == 4
+        assert out.steps == 3  # one scaled unit per round
+
+    def test_both_variants_satisfy_the_contract(self, monkeypatch):
+        for idx in range(12):
+            g = gen_random(5, 0.7, 6, 1 + idx % 3, seed=90_000 + idx)
+            cap = max(w for _, w in g.edge_items())
+            cover = greedy_solve(g, ProblemKind.GMVD).edges
+            split = split_cover(g, cover)
+            outcomes = [repair_weights(g, split), unit_step_repair(monkeypatch, g, split)]
+            assert outcomes[0].steps <= outcomes[1].steps
+            for out in outcomes:
+                assert is_metric(out.graph)
+                assert set(out.changed) <= set(cover)
+                for e, (old, new) in out.changed.items():
+                    assert 0 < new <= cap  # a jump stops at |P| > 0; a unit step lowers w >= 2
+                    assert (new > old) == (e in split.s_plus)
 
 
 class TestLiftZeroEdges:
