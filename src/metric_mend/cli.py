@@ -63,10 +63,6 @@ def _read_text(path: str) -> str:
                                   len((before + "x").splitlines())) from None
 
 
-def _edge_json(e: Edge) -> list[int]:
-    return [e[0], e[1]]
-
-
 def _emit(report: dict, fmt: str) -> None:
     if fmt == "machine":
         print(json.dumps(report, sort_keys=True, indent=2))
@@ -236,7 +232,7 @@ def cmd_solve(args) -> int:
         "instance": _instance_summary(g, args.instance, result.deficit),
         "solution": {
             "size": len(result.cover),
-            "edges": [_edge_json(e) for e in result.cover],
+            "edges": [list(e) for e in result.cover],
             "roles": [r.value for r in result.roles],
             "layer_deficits": [format_weight(d) for d in result.layer_deficits],
         },
@@ -246,9 +242,9 @@ def cmd_solve(args) -> int:
     if args.repair:
         report["repair"] = {
             "steps": result.steps,
-            "changed": [[_edge_json(e), format_weight(old), format_weight(new)]
+            "changed": [[list(e), format_weight(old), format_weight(new)]
                         for e, (old, new) in sorted(result.changed.items())],
-            "unresolved_zeros": [_edge_json(e) for e in result.unresolved_zeros],
+            "unresolved_zeros": [list(e) for e in result.unresolved_zeros],
         }
         if args.out and result.verdicts["all_ok"]:  # never write an unverified instance
             Path(args.out).write_text(serialize_instance(result.final) + "\n", encoding="utf-8")
@@ -266,13 +262,13 @@ def cmd_check(args) -> int:
         "command": "check",
         "cover_kind": kind.value,
         "instance": _instance_summary(g, args.instance),
-        "cover": [_edge_json(e) for e in sorted(set(cover))],
+        "cover": [list(e) for e in sorted(set(cover))],
         "ok": witness is None,
     }
     if witness is not None:
         report["witness"] = {
-            "top": _edge_json(witness.top),
-            "nontop": [_edge_json(e) for e in witness.nontop],
+            "top": list(witness.top),
+            "nontop": [list(e) for e in witness.nontop],
             "deficit": format_weight(witness.deficit),
         }
     _emit(report, args.format)
@@ -321,9 +317,9 @@ def cmd_reduce(args) -> int:
         sidecar = out_path.with_suffix(out_path.suffix + ".map.json")
         sidecar.write_text(json.dumps({
             "kind": artifact.kind.value,
-            "back_map": sorted([_edge_json(e), _edge_json(s)]
+            "back_map": sorted([list(e), list(s)]
                                for e, s in artifact.back_map.items()),
-            "added_edges": [_edge_json(e) for e in sorted(artifact.added_edges)],
+            "added_edges": [list(e) for e in sorted(artifact.added_edges)],
             "added_vertices": sorted(artifact.added_vertices),
         }, sort_keys=True, indent=2), encoding="utf-8")
         report.update(output=args.out, back_map=str(sidecar))
@@ -360,8 +356,8 @@ def cmd_oracle(args) -> int:
             "unbalanced_cycles": len(inventory),
             "distinct_deficits": [format_weight(d) for d in inventory.distinct_deficits],
             "max_deficit": format_weight(inventory.max_deficit),
-            "cycles": [{"top": _edge_json(c.top),
-                        "nontop": [_edge_json(e) for e in c.nontop],
+            "cycles": [{"top": list(c.top),
+                        "nontop": [list(e) for e in c.nontop],
                         "deficit": format_weight(c.deficit)}
                        for c in inventory.cycles],
         }
@@ -371,7 +367,7 @@ def cmd_oracle(args) -> int:
         report["min_cover"] = {
             "kind": kind.value,
             "size": solution.size,
-            "edges": [_edge_json(e) for e in solution.edges],
+            "edges": [list(e) for e in solution.edges],
         }
     _emit(report, args.format)
     return EXIT_OK

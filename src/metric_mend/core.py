@@ -67,8 +67,9 @@ class Graph:
     :meth:`without_edges`, :meth:`scaled`) return new graphs, so a search on
     G minus S runs on ``without_edges(S)``.  Input weights must be strictly
     positive; zero weights are tolerated only when ``allow_zero`` is set,
-    which the mutators do by default.  The repair never sets a weight to
-    zero; ``repair.lift_zero_edges`` accepts a graph that has some.
+    which the mutators always do.  The repair never sets a weight to zero;
+    ``repair.lift_zero_edges`` accepts a graph that has some.  Edge order is
+    fixed once, at construction: (u, v) lexicographic (O(m) on sorted input).
     """
 
     __slots__ = ("n", "_weights", "_adj")
@@ -90,13 +91,12 @@ class Graph:
             if wf < 0 or (wf == 0 and not allow_zero):
                 raise ValueError(f"nonpositive weight {wf} on edge {e}")
             weights[e] = wf
-        self._weights = weights
+        # x's edges (a, x), a < x, come before (x, b), b > x: rows fill in neighbour order
+        self._weights = dict(sorted(weights.items()))
         adj: list[list[tuple[int, Weight]]] = [[] for _ in range(n)]
-        for (u, v), wf in weights.items():
+        for (u, v), wf in self._weights.items():
             adj[u].append((v, wf))
             adj[v].append((u, wf))
-        for row in adj:
-            row.sort()
         self._adj = adj
 
     @property
@@ -105,10 +105,10 @@ class Graph:
 
     def edges(self) -> list[Edge]:
         """Edge pairs in (u, v) lexicographic order."""
-        return sorted(self._weights)
+        return list(self._weights)
 
     def edge_items(self) -> list[tuple[Edge, Weight]]:
-        return sorted(self._weights.items())
+        return list(self._weights.items())
 
     def weight(self, u: int, v: int) -> Weight:
         return self._weights[canonical_edge(u, v)]
@@ -119,12 +119,12 @@ class Graph:
     def neighbors(self, u: int) -> list[tuple[int, Weight]]:
         return self._adj[u]
 
-    def with_weight(self, edge: Edge, w, *, allow_zero: bool = True) -> "Graph":
+    def with_weight(self, edge: Edge, w) -> "Graph":
         e = canonical_edge(*edge)
         if e not in self._weights:
             raise KeyError(f"no edge {e}")
         items = [(u, v, w if (u, v) == e else wf) for (u, v), wf in self._weights.items()]
-        return Graph(self.n, items, allow_zero=allow_zero)
+        return Graph(self.n, items, allow_zero=True)
 
     def without_edges(self, edges: Iterable[Edge]) -> "Graph":
         drop = {canonical_edge(*e) for e in edges}
@@ -160,9 +160,6 @@ class Graph:
     def __eq__(self, other) -> bool:
         return (isinstance(other, Graph) and self.n == other.n
                 and self._weights == other._weights)
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self._weights.items())))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -315,8 +312,6 @@ def parse_cover(text: str, g: Graph) -> list[Edge]:
 
 def format_weight(w: Weight) -> str:
     """Render a rational exactly: integer or ``p/q``."""
-    if w == INFINITY:
-        return "inf"
     return str(w.numerator) if w.denominator == 1 else f"{w.numerator}/{w.denominator}"
 
 

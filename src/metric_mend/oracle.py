@@ -45,8 +45,8 @@ class WorkBudget:
         if self.limit < 0:
             raise InstanceFormatError(f"work budget must be nonnegative, got {self.limit}")
 
-    def charge(self, amount: int = 1) -> None:
-        self.used += amount
+    def charge(self) -> None:
+        self.used += 1
         if self.used > self.limit:
             raise BudgetExceededError(f"work budget of {self.limit} exhausted")
 

@@ -236,10 +236,9 @@ def gen_random(n: int, density: float, weight_max: int, violations: int,
                 dist, _ = dijkstra(work.without_edges([e]), e[0])
                 alt = dist[e[1]]
                 bump = rng.randint(1, weight_max)
-                work = work.with_weight(e, (alt if alt != INFINITY else w) + bump,
-                                        allow_zero=False)
+                work = work.with_weight(e, (alt if alt != INFINITY else w) + bump)
             elif w > 1:
-                work = work.with_weight(e, rng.randint(1, w - 1), allow_zero=False)
+                work = work.with_weight(e, rng.randint(1, w - 1))
         if not is_metric(work):
             return work
     raise InstanceFormatError(

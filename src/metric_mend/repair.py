@@ -62,10 +62,6 @@ class SplitCover:
         if self.s_plus & self.s_minus:
             raise ValueError("increase and decrease halves must be disjoint")
 
-    @property
-    def edges(self) -> frozenset[Edge]:
-        return self.s_plus | self.s_minus
-
 
 @dataclass(frozen=True)
 class RepairOutcome:

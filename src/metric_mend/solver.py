@@ -67,10 +67,6 @@ class CoverSolution:
             raise ValueError("layer deficits must be strictly decreasing")
 
     @property
-    def edge_set(self) -> frozenset[Edge]:
-        return frozenset(self.edges)
-
-    @property
     def size(self) -> int:
         return len(self.edges)
 

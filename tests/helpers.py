@@ -197,10 +197,12 @@ def rational_instance(n: int, violations: int, seed: int, density: float = 0.7) 
                 alt = dist[e[1]]
                 bump = Fraction(rng.randint(1, 8), rng.randint(1, 4))
                 base_w = alt if alt != INFINITY else work.weight(*e)
-                work = work.with_weight(e, base_w + bump, allow_zero=False)
+                assert base_w + bump > 0
+                work = work.with_weight(e, base_w + bump)
             else:
                 shrink = Fraction(1, rng.randint(2, 4))
-                work = work.with_weight(e, work.weight(*e) * shrink, allow_zero=False)
+                assert work.weight(*e) * shrink > 0
+                work = work.with_weight(e, work.weight(*e) * shrink)
         if graph_deficit(work, all_pairs_shortest_paths(work)) > 0:
             return work
     if work is None:

@@ -331,6 +331,44 @@ def test_edge_distances_with_an_all_zero_row():
     assert (parent[0], parent[2], parent[3]) == (1, 0, 2)
 
 
+def _edge_lists(draw, max_n=7):
+    """``(n, edges)``: int and Fraction weights, each pair in either
+    orientation, the list in any order."""
+    n = draw(st.integers(2, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=1))
+    weights = draw(st.lists(
+        st.one_of(st.integers(1, 9),
+                  st.fractions(min_value=Fraction(1, 4), max_value=9, max_denominator=4)),
+        min_size=len(chosen), max_size=len(chosen)))
+    flips = draw(st.lists(st.booleans(), min_size=len(chosen), max_size=len(chosen)))
+    edges = [(v, u, w) if flip else (u, v, w) for (u, v), w, flip in zip(chosen, weights, flips)]
+    return n, draw(st.permutations(edges))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.composite(_edge_lists)(), st.data())
+def test_edge_order_is_fixed_at_construction(edge_list, data):
+    """Every graph, built or derived, lists its edges sorted, keeps each row
+    in increasing neighbour order, and equals the graph built from its
+    sorted edge list, rows included."""
+    n, edges = edge_list
+    g = Graph(n, edges)
+    edge = data.draw(st.sampled_from(g.edges()))
+    dropped = data.draw(st.lists(st.sampled_from(g.edges()), unique=True))
+    lam = data.draw(st.fractions(min_value=Fraction(1, 3), max_value=7, max_denominator=3))
+    for h in (g, g.with_weight(edge, data.draw(st.integers(0, 9))), g.without_edges(dropped),
+              g.scaled(lam)):
+        items = h.edge_items()
+        assert h.edges() == sorted(h.edges()) == [e for e, _ in items]
+        rebuilt = Graph(n, [(u, v, w) for (u, v), w in sorted(items)], allow_zero=True)
+        assert h == rebuilt and rebuilt.edge_items() == items
+        for u in range(n):
+            ids = [x for x, _ in h.neighbors(u)]
+            assert all(a < b for a, b in zip(ids, ids[1:]))
+            assert h.neighbors(u) == rebuilt.neighbors(u)
+
+
 @settings(max_examples=40, deadline=None)
 @given(graphs())
 def test_serialize_round_trip_property(g):

@@ -1,6 +1,7 @@
 """Differential checks against networkx, an implementation that shares no code
-with metric_mend: simple-cycle enumeration, shortest-path counting, and the
-covers and repairs of the pipeline at n = 300 and 600."""
+with metric_mend: simple-cycle enumeration, shortest-path counting, the
+covers and repairs of the pipeline at n = 300 and 600, a cycle-packing lower
+bound on the greedy covers, and a closed-form cap on the gmvid repair."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from metric_mend.cli import run_pipeline
 from metric_mend.core import INFINITY, Graph, all_pairs_shortest_paths
 from metric_mend.oracle import enumerate_unbalanced_cycles
 from metric_mend.reductions import gen_random
-from metric_mend.solver import ProblemKind
+from metric_mend.solver import ProblemKind, greedy_solve
 
 nx = pytest.importorskip("networkx")
 
@@ -99,3 +100,73 @@ def test_pipeline_at_scale_against_networkx(n, density, seed):
         final = [(u, v, w) for (u, v), w in result.final.edge_items()]
         assert not _shorter_pairs(n, final, set(), final)  # the repair is metric
         assert {(u, v) for u, v, w in final if w != g.weight(u, v)} <= cover
+
+
+# gen_random(n, density, 10, 3, seed): dense, and sparse at two sizes
+BOUND_INSTANCES = [(80, 0.25, 555), (300, 0.02, 1), (1000, 0.005, 7)]
+
+
+def _reference(n: int, items) -> "nx.Graph":
+    reference = nx.Graph()
+    reference.add_nodes_from(range(n))
+    reference.add_weighted_edges_from(items)
+    return reference
+
+
+def _cycle_packing(n: int, items, kind: ProblemKind) -> int:
+    """The number of unbalanced cycles found, top by top in sorted order, that
+    share no edge (gmvd) or no non-top edge (gmvid) with a cycle found
+    before.  Each needs a cover edge of its own, so every regular (gmvd) or
+    non-top (gmvid) cover has at least that many edges."""
+    reference = _reference(n, items)
+    blocked: set = set()
+    count = 0
+    for u, v, w in sorted(_shorter_pairs(n, items, set(), items)):  # the candidate tops
+        if kind is ProblemKind.GMVD and (u, v) in blocked:
+            continue
+
+        def weight(a, b, data, top=(u, v)):
+            e = (a, b) if a < b else (b, a)
+            return None if e == top or e in blocked else data["weight"]
+
+        try:
+            d, path = nx.single_source_dijkstra(reference, u, v, cutoff=w, weight=weight)
+        except nx.NetworkXNoPath:
+            continue
+        if d < w:
+            count += 1
+            blocked.update((a, b) if a < b else (b, a) for a, b in zip(path, path[1:]))
+            if kind is ProblemKind.GMVD:
+                blocked.add((u, v))
+    return count
+
+
+@pytest.mark.parametrize("n, density, seed", BOUND_INSTANCES)
+def test_greedy_covers_are_at_least_a_cycle_packing(n, density, seed):
+    g = gen_random(n, density, 10, 3, seed=seed)
+    items = [(u, v, w) for (u, v), w in g.edge_items()]
+    for kind in (ProblemKind.GMVD, ProblemKind.GMVID):
+        assert greedy_solve(g, kind).size >= _cycle_packing(n, items, kind) > 0
+
+
+@pytest.mark.parametrize("n, density, seed", BOUND_INSTANCES)
+def test_gmvid_repair_stays_under_its_closed_form(n, density, seed):
+    """c_e = min(L, d_{G-S}(e)) for each edge e of the greedy non-top cover S,
+    with L the largest input weight: each gmvid increase is capped by a
+    distance in the graph without the increase half, which is G - S.  The
+    caps bound the repair from above, and setting every S edge to its cap
+    alone makes the graph metric."""
+    g = gen_random(n, density, 10, 3, seed=seed)
+    items = [(u, v, w) for (u, v), w in g.edge_items()]
+    result = run_pipeline(g, ProblemKind.GMVID, repair=True)
+    cover = set(result.cover)
+    rest = _reference(n, [(u, v, w) for u, v, w in items if (u, v) not in cover])
+    top = max(w for _, _, w in items)  # L
+    cap = {}
+    for u, v in cover:
+        dist = nx.single_source_dijkstra_path_length(rest, u, cutoff=top)
+        cap[u, v] = min(top, dist.get(v, top))
+    assert all(cap[e] >= g.weight(*e) for e in cover)
+    capped = [(u, v, cap.get((u, v), w)) for u, v, w in items]
+    assert not _shorter_pairs(n, capped, set(), capped)
+    assert all(g.weight(*e) <= result.final.weight(*e) <= cap[e] for e in cover)

@@ -63,7 +63,7 @@ class TestSplitCover:
             inputs.append((g, frozenset(base) | frozenset(extra)))
         for entry in corpus:
             g = entry.graph
-            greedy = greedy_solve(g, ProblemKind.GMVD).edge_set
+            greedy = frozenset(greedy_solve(g, ProblemKind.GMVD).edges)
             inputs.append((g, greedy))
             inputs.extend((g, greedy | {e for e in g.edges() if rng.random() < 0.3})
                           for _ in range(3))
