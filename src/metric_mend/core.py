@@ -63,21 +63,21 @@ class Graph:
     """Undirected simple graph with exact rational edge weights (``int`` when
     integral, ``Fraction`` otherwise).
 
-    Immutable after construction; the "mutators" (:meth:`with_weight`,
-    :meth:`without_edges`, :meth:`scaled`) return new graphs, so a search on
-    G minus S runs on ``without_edges(S)``.  Input weights must be strictly
-    positive; zero weights are tolerated only when ``allow_zero`` is set,
-    which the mutators always do.  The repair never sets a weight to zero;
-    ``repair.lift_zero_edges`` accepts a graph that has some.  Edge order is
-    fixed once, at construction: (u, v) lexicographic (O(m) on sorted input).
+    The constructor checks each edge it is given (ids in range, no self-loop
+    or duplicate, an exact weight above zero; a float is refused) and fixes
+    the edge order: (u, v) lexicographic.  Immutable after that; the
+    "mutators" (:meth:`with_weight`, :meth:`without_edges`, :meth:`scaled`)
+    build new graphs from the checked, sorted weights and check only what
+    they are given, so a search on G minus S runs on ``without_edges(S)``.
+    :meth:`with_weight` is the one way to set a zero weight; the repair never
+    does, and ``repair.lift_zero_edges`` accepts a graph that has some.
     """
 
     __slots__ = ("n", "_weights", "_adj")
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int, object]], *, allow_zero: bool = False):
+    def __init__(self, n: int, edges: Iterable[tuple[int, int, object]]):
         if n < 1:
             raise ValueError(f"vertex count must be positive, got {n}")
-        self.n = n
         weights: dict[Edge, Weight] = {}
         for u, v, w in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -88,16 +88,21 @@ class Graph:
             if e in weights:
                 raise ValueError(f"duplicate edge {e}")
             wf = _as_weight(w)
-            if wf < 0 or (wf == 0 and not allow_zero):
+            if wf <= 0:
                 raise ValueError(f"nonpositive weight {wf} on edge {e}")
             weights[e] = wf
+        self._fill(n, dict(sorted(weights.items())))
+
+    def _fill(self, n: int, weights: dict[Edge, Weight]) -> "Graph":
+        """Store checked ``weights``, already in edge order, and their rows."""
+        self.n, self._weights = n, weights
         # x's edges (a, x), a < x, come before (x, b), b > x: rows fill in neighbour order
-        self._weights = dict(sorted(weights.items()))
         adj: list[list[tuple[int, Weight]]] = [[] for _ in range(n)]
-        for (u, v), wf in self._weights.items():
+        for (u, v), wf in weights.items():
             adj[u].append((v, wf))
             adj[v].append((u, wf))
         self._adj = adj
+        return self
 
     @property
     def m(self) -> int:
@@ -123,15 +128,16 @@ class Graph:
         e = canonical_edge(*edge)
         if e not in self._weights:
             raise KeyError(f"no edge {e}")
-        items = [(u, v, w if (u, v) == e else wf) for (u, v), wf in self._weights.items()]
-        return Graph(self.n, items, allow_zero=True)
+        if (wf := _as_weight(w)) < 0:
+            raise ValueError(f"negative weight {wf} on edge {e}")
+        return Graph.__new__(Graph)._fill(self.n, {**self._weights, e: wf})
 
     def without_edges(self, edges: Iterable[Edge]) -> "Graph":
         drop = {canonical_edge(*e) for e in edges}
         if missing := drop - self._weights.keys():
             raise KeyError(f"no edge {min(missing)}")
-        items = [(u, v, wf) for (u, v), wf in self._weights.items() if (u, v) not in drop]
-        return Graph(self.n, items, allow_zero=True)
+        weights = {e: wf for e, wf in self._weights.items() if e not in drop}
+        return Graph.__new__(Graph)._fill(self.n, weights)
 
     def scaled(self, factor) -> "Graph":
         """Multiply every weight by a positive rational factor (1: this graph)."""
@@ -140,8 +146,8 @@ class Graph:
             raise ValueError("scale factor must be positive")
         if f == 1:
             return self
-        return Graph(self.n, [(u, v, wf * f) for (u, v), wf in self._weights.items()],
-                     allow_zero=True)
+        weights = {e: _as_weight(wf * f) for e, wf in self._weights.items()}
+        return Graph.__new__(Graph)._fill(self.n, weights)
 
     def integer_scaled(self) -> tuple["Graph", int]:
         """``(self scaled by L, L)``, with L the least common multiple of the
@@ -494,9 +500,8 @@ class CoverKind(Enum):
 
 def _check_edge_subset(g: Graph, edges: Iterable[Edge], label: str) -> frozenset[Edge]:
     out = frozenset(canonical_edge(*e) for e in edges)
-    for e in out:
-        if e not in g._weights:
-            raise ValueError(f"{label} contains non-edge {e}")
+    if missing := out - g._weights.keys():
+        raise ValueError(f"{label} contains non-edge {min(missing)}")
     return out
 
 

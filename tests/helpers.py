@@ -169,6 +169,18 @@ def lbcut_feasible(edges, removed, source: int, sink: int, bound: int) -> bool:
 # Test corpus
 
 
+def graph_with_zeros(n: int, edges) -> Graph:
+    """The graph on ``edges`` whose zero weights stay zero: built with 1 in
+    place of each zero, then each zero set through ``with_weight``, the one
+    way a graph gets a zero weight."""
+    edges = list(edges)
+    g = Graph(n, [(u, v, 1 if w == 0 else w) for u, v, w in edges])
+    for u, v, w in edges:
+        if w == 0:
+            g = g.with_weight((u, v), 0)
+    return g
+
+
 @dataclass(frozen=True)
 class CorpusEntry:
     name: str

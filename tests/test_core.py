@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import metric_mend
+from metric_mend.cli import run_pipeline
 from metric_mend.core import (
     CoverKind,
     Graph,
@@ -28,6 +29,7 @@ from metric_mend.core import (
 )
 from metric_mend.oracle import enumerate_unbalanced_cycles
 from metric_mend.reductions import parse_lbcut, parse_multicut
+from metric_mend.solver import ProblemKind
 
 import helpers
 from conftest import K3_TEXT
@@ -159,7 +161,7 @@ class TestShortestPaths:
                         assert t.dist(u, v) <= t.dist(u, w) + t.dist(w, v)
 
     def test_counting_rejects_zero_weights(self):
-        g = Graph(2, [(0, 1, 0)], allow_zero=True)
+        g = helpers.graph_with_zeros(2, [(0, 1, 0)])
         with pytest.raises(ValueError, match="positive"):
             all_pairs_shortest_paths(g)
 
@@ -208,6 +210,14 @@ class TestUncoveredCycle:
     def test_rejects_non_edges(self, k3):
         with pytest.raises(ValueError, match="non-edge"):
             find_uncovered_cycle(k3, {(0, 7)}, ())
+
+    def test_names_the_smallest_non_edge(self):
+        # a frozenset of (0, 2) and (2, 3) iterates (2, 3) first
+        g = Graph(4, [(0, 1, 1), (1, 2, 1), (0, 3, 1)])
+        for top, nontop, label in [({(2, 3), (0, 2)}, (), "top_cover"),
+                                   ((), [(3, 2), (2, 0)], "nontop_cover")]:
+            with pytest.raises(ValueError, match=rf"{label} contains non-edge \(0, 2\)$"):
+                find_uncovered_cycle(g, top, nontop)
 
     def test_agrees_with_oracle_escape_search(self):
         rng = random.Random(4242)
@@ -284,7 +294,7 @@ def _zero_graphs(draw, max_n=7):
         st.one_of(st.just(0), st.integers(1, 9),
                   st.fractions(min_value=0, max_value=9, max_denominator=4)),
         min_size=len(chosen), max_size=len(chosen)))
-    return Graph(n, [(u, v, w) for (u, v), w in zip(chosen, weights)], allow_zero=True)
+    return helpers.graph_with_zeros(n, [(u, v, w) for (u, v), w in zip(chosen, weights)])
 
 
 zero_graphs = st.composite(_zero_graphs)
@@ -323,7 +333,7 @@ def test_edge_distances_answer_d_below_w_exactly(g):
 def test_edge_distances_with_an_all_zero_row():
     """Vertex 0's listed edges all weigh 0, so its run stops at once; the
     rows after it still read exact distances below their weights."""
-    g = Graph(4, [(0, 1, 0), (0, 2, 0), (1, 2, 3), (1, 3, 1), (2, 3, 0)], allow_zero=True)
+    g = helpers.graph_with_zeros(4, [(0, 1, 0), (0, 2, 0), (1, 2, 3), (1, 3, 1), (2, 3, 0)])
     rows = list(edge_distances(g, g.edge_items()))
     assert [e for e, _, _, _ in rows] == g.edges()
     assert [(e, d) for e, w, d, _ in rows if d < w] == [((1, 2), 0), ((1, 3), 0)]
@@ -361,7 +371,7 @@ def test_edge_order_is_fixed_at_construction(edge_list, data):
               g.scaled(lam)):
         items = h.edge_items()
         assert h.edges() == sorted(h.edges()) == [e for e, _ in items]
-        rebuilt = Graph(n, [(u, v, w) for (u, v), w in sorted(items)], allow_zero=True)
+        rebuilt = helpers.graph_with_zeros(n, [(u, v, w) for (u, v), w in sorted(items)])
         assert h == rebuilt and rebuilt.edge_items() == items
         for u in range(n):
             ids = [x for x, _ in h.neighbors(u)]
@@ -444,6 +454,54 @@ class TestWeightTypes:
     def test_scaling_by_one_keeps_the_graph(self, k3):
         assert k3.scaled(1) is k3 and k3.scaled(Fraction(3, 3)) is k3
         assert k3.integer_scaled()[0] is k3
+
+
+class TestDerivedGraphs:
+    """The constructor checks edges from outside; a derived graph reuses the
+    checked weights and checks only the value its mutator is given."""
+
+    @staticmethod
+    def _count_checked_builds(monkeypatch) -> list:
+        builds = []
+        init = Graph.__init__
+
+        def counting_init(self, *args, **kwargs):
+            builds.append(args[0])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Graph, "__init__", counting_init)
+        return builds
+
+    def test_mutators_build_no_checked_graph(self, monkeypatch):
+        g = helpers.rational_instance(n=7, violations=2, seed=77)
+        builds = self._count_checked_builds(monkeypatch)
+        derived = [g.with_weight(g.edges()[0], 0), g.with_weight(g.edges()[1], Fraction(7, 3)),
+                   g.without_edges(g.edges()[:3]), g.scaled(Fraction(5, 2)),
+                   g.integer_scaled()[0]]
+        assert builds == []
+        assert derived[4] != g and all(type(w) is int for _, w in derived[4].edge_items())
+        assert [h.m for h in derived] == [g.m, g.m, g.m - 3, g.m, g.m]
+
+    @pytest.mark.parametrize("kind", [ProblemKind.GMVD, ProblemKind.GMVID])
+    def test_pipeline_builds_no_checked_graph(self, monkeypatch, kind):
+        g = helpers.rational_instance(n=7, violations=3, seed=123)
+        assert g.integer_scaled()[1] > 1 and not is_metric(g)
+        builds = self._count_checked_builds(monkeypatch)
+        result = run_pipeline(g, kind, repair=True)
+        assert builds == []
+        assert result.cover and result.final != g and is_metric(result.final)
+
+    def test_with_weight_keeps_its_refusals(self, k3):
+        for w, shown in [(-1, "-1"), (Fraction(-1, 2), "-1/2")]:
+            with pytest.raises(ValueError, match=rf"weight {shown} on edge \(0, 1\)"):
+                k3.with_weight((1, 0), w)
+        with pytest.raises(TypeError):
+            k3.with_weight((0, 1), 0.5)
+        with pytest.raises(KeyError):
+            k3.with_weight((0, 3), 1)
+        zero = k3.with_weight((1, 0), 0)
+        assert zero.weight(0, 1) == 0 and zero.has_zero_weight()
+        assert not k3.has_zero_weight()
 
 
 def test_shared_k3_fixture_text(k3):

@@ -81,7 +81,8 @@ def _shorter_pairs(n: int, items, removed, edges) -> list:
     return shorter
 
 
-@pytest.mark.parametrize("n, density, seed", [(300, 0.02, 1), (600, 0.008, 2)])
+@pytest.mark.parametrize("n, density, seed", [(300, 0.02, 1), (600, 0.008, 2),
+                                               (2000, 0.0025, 3)])
 def test_pipeline_at_scale_against_networkx(n, density, seed):
     """Covers of all three kinds and their repairs, at sizes no oracle reaches."""
     g = gen_random(n, density, 10, 3, seed=seed)

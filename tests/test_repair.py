@@ -236,7 +236,7 @@ class TestUnitStepVariant:
 
 class TestLiftZeroEdges:
     def test_basic_lift(self):
-        g = Graph(3, [(0, 1, 0), (0, 2, 1), (1, 2, 1)], allow_zero=True)
+        g = helpers.graph_with_zeros(3, [(0, 1, 0), (0, 2, 1), (1, 2, 1)])
         result = lift_zero_edges(g)
         assert result.graph.weight(0, 1) == 2
         assert is_metric(result.graph)
@@ -249,12 +249,12 @@ class TestLiftZeroEdges:
         assert result.lifted == {}
 
     def test_unresolvable_pair(self):
-        g = Graph(3, [(0, 1, 0), (1, 2, 0)], allow_zero=True)
+        g = helpers.graph_with_zeros(3, [(0, 1, 0), (1, 2, 0)])
         result = lift_zero_edges(g)
         assert result.unresolved == {(0, 1), (1, 2)}
 
     def test_cascading_lift(self):
-        g = Graph(3, [(0, 1, 0), (1, 2, 0), (0, 2, 0)], allow_zero=True)
+        g = helpers.graph_with_zeros(3, [(0, 1, 0), (1, 2, 0), (0, 2, 0)])
         # all-zero triangle: every edge has a zero alternative path, nothing lifts
         result = lift_zero_edges(g)
         assert result.unresolved == {(0, 1), (1, 2), (0, 2)}
@@ -264,7 +264,7 @@ class TestLiftZeroEdges:
             lift_zero_edges(k3)
 
     def test_stays_metric_with_several_zeros(self):
-        g = Graph(4, [(0, 1, 0), (1, 2, 0), (0, 2, 0), (2, 3, 5)], allow_zero=True)
+        g = helpers.graph_with_zeros(4, [(0, 1, 0), (1, 2, 0), (0, 2, 0), (2, 3, 5)])
         result = lift_zero_edges(g)
         assert is_metric(result.graph)
 

@@ -191,7 +191,7 @@ class TestGreedySolve:
     @pytest.mark.parametrize("kind", [ProblemKind.GMVD, ProblemKind.GMVID])
     def test_rejects_zero_weights(self, kind):
         # a zero weight breaks path counting; (0, 2) still tops a deficit-3 cycle
-        g = Graph(4, [(0, 1, 0), (1, 2, 1), (0, 2, 5), (2, 3, 1)], allow_zero=True)
+        g = helpers.graph_with_zeros(4, [(0, 1, 0), (1, 2, 1), (0, 2, 5), (2, 3, 1)])
         with pytest.raises(ValueError, match="strictly positive"):
             greedy_solve(g, kind)
 
