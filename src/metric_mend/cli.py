@@ -22,6 +22,7 @@ from pathlib import Path
 from . import reductions
 from .core import (
     CoverKind,
+    CycleWitness,
     Edge,
     Graph,
     InstanceFormatError,
@@ -253,6 +254,11 @@ def cmd_solve(args) -> int:
     return EXIT_OK if result.verdicts["all_ok"] else EXIT_INTERNAL
 
 
+def _cycle_json(c: CycleWitness) -> dict:
+    return {"top": list(c.top), "nontop": [list(e) for e in c.nontop],
+            "deficit": format_weight(c.deficit)}
+
+
 def cmd_check(args) -> int:
     g = parse_instance(_read_text(args.instance))
     cover = parse_cover(_read_text(args.cover), g)
@@ -266,11 +272,7 @@ def cmd_check(args) -> int:
         "ok": witness is None,
     }
     if witness is not None:
-        report["witness"] = {
-            "top": list(witness.top),
-            "nontop": [list(e) for e in witness.nontop],
-            "deficit": format_weight(witness.deficit),
-        }
+        report["witness"] = _cycle_json(witness)
     _emit(report, args.format)
     return EXIT_OK if witness is None else EXIT_VERDICT
 
@@ -356,10 +358,7 @@ def cmd_oracle(args) -> int:
             "unbalanced_cycles": len(inventory),
             "distinct_deficits": [format_weight(d) for d in inventory.distinct_deficits],
             "max_deficit": format_weight(inventory.max_deficit),
-            "cycles": [{"top": list(c.top),
-                        "nontop": [list(e) for e in c.nontop],
-                        "deficit": format_weight(c.deficit)}
-                       for c in inventory.cycles],
+            "cycles": [_cycle_json(c) for c in inventory.cycles],
         }
     else:
         kind = CoverKind(args.cover_kind)

@@ -1,12 +1,13 @@
 """Exponential-time ground truth for small instances.
 
 Exhaustive unbalanced-cycle enumeration, brute-force minimum covers, and
-brute-force minimum multicut / length-bounded cut.  Everything here is the
-independent second route against which the polynomial machinery is verified;
-none of it consults the fast counting or checking code paths.  A cover is
-decided against the enumerated cycle inventory, never by the polynomial
-checker `find_uncovered_cycle` that the greedy uses on itself, so a fault in
-that checker cannot move the greedy and its ground truth together.
+one brute-force minimum length-bounded cut, which at bound n - 1 is the
+minimum multicut.  Everything here is the independent second route against
+which the polynomial machinery is verified; none of it consults the fast
+counting or checking code paths.  A cover is decided against the enumerated
+cycle inventory, never by the polynomial checker `find_uncovered_cycle` that
+the greedy uses on itself, so a fault in that checker cannot move the greedy
+and its ground truth together.
 """
 
 from __future__ import annotations
@@ -217,24 +218,26 @@ def _hop_counts(n: int, edges: list[Edge], removed: frozenset[Edge], source: int
     return hops
 
 
-def brute_multicut(n: int, edges: list[Edge], demands: list[tuple[int, int]],
-                   budget: WorkBudget | None = None) -> frozenset[Edge]:
-    """Minimum edge set disconnecting all demand pairs, by subset search."""
+def _brute_cut(n: int, edges: list[Edge], pairs: list[tuple[int, int]], bound: int,
+               budget: WorkBudget | None) -> frozenset[Edge]:
+    """Minimum edge set leaving every pair more than ``bound`` hops apart, by subset search."""
     edges = sorted(canonical_edge(*e) for e in edges)
 
-    def disconnects(combo: tuple[Edge, ...]) -> bool:
+    def separates(combo: tuple[Edge, ...]) -> bool:
         removed = frozenset(combo)
-        return all(_hop_counts(n, edges, removed, s)[t] == inf for s, t in demands)
+        return all(_hop_counts(n, edges, removed, s)[t] > bound for s, t in pairs)
 
-    return frozenset(_first_subset(edges, disconnects, budget))
+    return frozenset(_first_subset(edges, separates, budget))
+
+
+def brute_multicut(n: int, edges: list[Edge], demands: list[tuple[int, int]],
+                   budget: WorkBudget | None = None) -> frozenset[Edge]:
+    """Minimum edge set disconnecting all demand pairs: the length-bounded cut
+    at bound n - 1, since a reachable vertex is at most n - 1 hops away."""
+    return _brute_cut(n, edges, demands, n - 1, budget)
 
 
 def brute_lbcut(n: int, edges: list[Edge], source: int, sink: int, bound: int,
                 budget: WorkBudget | None = None) -> frozenset[Edge]:
     """Minimum edge set destroying every source-sink path of length <= bound."""
-    edges = sorted(canonical_edge(*e) for e in edges)
-
-    def lengthens(combo: tuple[Edge, ...]) -> bool:
-        return _hop_counts(n, edges, frozenset(combo), source)[sink] > bound
-
-    return frozenset(_first_subset(edges, lengthens, budget))
+    return _brute_cut(n, edges, [(source, sink)], bound, budget)

@@ -2,7 +2,9 @@
 
 Each transformer returns the produced instance together with a back-mapping
 from its edges to source-problem objects, so optimal covers of the output can
-be translated into source solutions and cross-validated.
+be translated into source solutions and cross-validated.  Multicut and
+length-bounded cut share one gadget: a multicut is the length-bounded cut at
+bound n - 1 on every demand pair.
 """
 
 from __future__ import annotations
@@ -109,42 +111,31 @@ class ReductionArtifact:
         return sorted(out)
 
 
-def multicut_to_gmvid(mc: MulticutInstance) -> ReductionArtifact:
-    """Weight the instance edges 1 and add a weight-n edge per demand pair.
+def _heavy_pairs_gadget(n: int, edges: tuple[Edge, ...], pairs: Iterable[Edge],
+                        bound: int) -> ReductionArtifact:
+    """Weight ``edges`` 1 and join each pair by an edge of weight ``bound + 1``.
 
-    The unbalanced cycles of the output are exactly a demand edge plus a unit
-    path between its endpoints, so minimum non-top covers coincide with
-    minimum multicuts.
+    The unbalanced cycles of the output are exactly a pair edge plus a path
+    of at most ``bound`` unit edges between its endpoints, so minimum non-top
+    covers coincide with minimum edge sets leaving every pair more than
+    ``bound`` hops apart.
     """
-    items = [(u, v, 1) for u, v in mc.edges]
-    items += [(s, t, mc.n) for s, t in mc.demands]
-    graph = Graph(mc.n, items)
-    return ReductionArtifact(
-        instance=graph,
-        kind=ProblemKind.GMVID,
-        back_map={e: e for e in mc.edges},
-        added_edges=frozenset(mc.demands),
-        added_vertices=frozenset(),
-    )
+    graph = Graph(n, [(u, v, 1) for u, v in edges] + [(s, t, bound + 1) for s, t in pairs])
+    return ReductionArtifact(instance=graph, kind=ProblemKind.GMVID,
+                             back_map={e: e for e in edges},
+                             added_edges=frozenset(pairs), added_vertices=frozenset())
+
+
+def multicut_to_gmvid(mc: MulticutInstance) -> ReductionArtifact:
+    """The length-bounded cut gadget at bound n - 1 on every demand pair: a
+    connected pair is joined by a simple path of at most n - 1 edges."""
+    return _heavy_pairs_gadget(mc.n, mc.edges, mc.demands, mc.n - 1)
 
 
 def lbcut_to_gmvid(lb: LbCutInstance) -> ReductionArtifact:
-    """Weight the instance edges 1 and add a weight-(bound+1) source-sink edge.
-
-    Unbalanced cycles of the output are exactly that edge plus a source-sink
-    path of at most ``bound`` unit edges.
-    """
-    items = [(u, v, 1) for u, v in lb.edges]
-    st = canonical_edge(lb.source, lb.sink)
-    items.append((st[0], st[1], lb.bound + 1))
-    graph = Graph(lb.n, items)
-    return ReductionArtifact(
-        instance=graph,
-        kind=ProblemKind.GMVID,
-        back_map={e: e for e in lb.edges},
-        added_edges=frozenset({st}),
-        added_vertices=frozenset(),
-    )
+    """The length-bounded cut gadget on the single source-sink pair."""
+    return _heavy_pairs_gadget(lb.n, lb.edges, [canonical_edge(lb.source, lb.sink)],
+                               lb.bound)
 
 
 def gmvid_to_gmvd(g: Graph) -> ReductionArtifact:
@@ -160,33 +151,22 @@ def gmvid_to_gmvd(g: Graph) -> ReductionArtifact:
     before anything is built.
     """
     tops = sorted(solve_decrease_only(g))
-    if not tops:
-        return ReductionArtifact(instance=g, kind=ProblemKind.GMVD,
-                                 back_map={e: e for e in g.edges()},
-                                 added_edges=frozenset(), added_vertices=frozenset())
     copies = g.m + 1
     size = g.n + len(tops) * copies
     if size > MAX_VERTICES:
         raise InstanceFormatError(
             f"the reduction would build {size} vertices ({len(tops)} violating edges "
             f"x {copies} gadget copies + {g.n}), above the cap of {MAX_VERTICES}")
-    big = 1 + max(w for _, w in g.edge_items())
+    big = 1 + max((w for _, w in g.edge_items()), default=0)
     items = [(u, v, w) for (u, v), w in g.edge_items()]
-    added_edges: set[Edge] = set()
-    added_vertices: set[int] = set()
-    for i, (s, t) in enumerate(tops):
-        for j in range(copies):
-            vid = g.n + i * copies + j
-            added_vertices.add(vid)
-            for endpoint, weight in ((s, big), (t, big - g.weight(s, t))):
-                e = canonical_edge(endpoint, vid)
-                items.append((e[0], e[1], weight))
-                added_edges.add(e)
+    for i, (s, t) in enumerate(tops):  # vid > s, t: each gadget edge is canonical
+        for vid in range(g.n + i * copies, g.n + (i + 1) * copies):
+            items += [(s, vid, big), (t, vid, big - g.weight(s, t))]
     graph = Graph(size, items)
     return ReductionArtifact(instance=graph, kind=ProblemKind.GMVD,
                              back_map={e: e for e in g.edges()},
-                             added_edges=frozenset(added_edges),
-                             added_vertices=frozenset(added_vertices))
+                             added_edges=frozenset((u, v) for u, v, _ in items[g.m:]),
+                             added_vertices=frozenset(range(g.n, size)))
 
 
 # ---------------------------------------------------------------------------

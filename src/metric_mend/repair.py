@@ -93,11 +93,13 @@ def split_cover(g: Graph, cover: Iterable[Edge]) -> SplitCover:
     if witness is not None:
         raise CoverInvalidError("not a regular cover", witness)
     s_minus: set[Edge] = set()
+    h = g.without_edges(cover_set)  # g - (cover - s_minus), rebuilt when s_minus grows
     for x, y in sorted(cover_set):
         w_b = g.weight(x, y)
-        dist, _ = dijkstra(g.without_edges(cover_set - s_minus), x, w_b)
+        dist, _ = dijkstra(h, x, w_b)
         if dist[y] < w_b:
             s_minus.add((x, y))
+            h = g.without_edges(cover_set - s_minus)
     split = SplitCover(s_plus=cover_set - s_minus, s_minus=frozenset(s_minus))
     witness = find_uncovered_cycle(g, split.s_minus, split.s_plus)
     if witness is not None:
@@ -150,8 +152,9 @@ def _apply_safe_move(work: Graph, witness: CycleWitness, s_plus: frozenset[Edge]
                      s_minus: frozenset[Edge]) -> Graph | None:
     """One committed move on the witness cycle, or None if no candidate is safe."""
     deficit = witness.deficit
-
-    for f in sorted(set(witness.nontop) & s_plus):
+    raisable = sorted(set(witness.nontop) & s_plus)
+    h = work.without_edges(s_plus) if raisable else None
+    for f in raisable:
         w_f = work.weight(*f)
         # raising f is safe up to the shortest f-endpoint path that avoids the
         # increase half entirely: only cycles topped by f can become unbalanced,
@@ -159,7 +162,7 @@ def _apply_safe_move(work: Graph, witness: CycleWitness, s_plus: frozenset[Edge]
         # The move never goes past w_f + deficit, so neither does the search:
         # a limit at or past it reads some value >= w_f + deficit, and the
         # deficit is a positive int on the scaled graph.
-        dist, _ = dijkstra(work.without_edges(s_plus), f[0], w_f + deficit)
+        dist, _ = dijkstra(h, f[0], w_f + deficit)
         if (limit := min(w_f + deficit, dist[f[1]])) > w_f:
             return work.with_weight(f, limit)
 

@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -310,6 +313,30 @@ class TestParserReuse:
         assert [code for code, _, _ in first] == [0, ("SystemExit", 2), 2]
         assert "invalid choice: 'nope'" in first[1][2]
         assert first[2][2].startswith("error: ")
+
+
+class TestLazyPipelineExport:
+    """`metric_mend.run_pipeline` imports `cli` on first read, not with the package."""
+
+    @staticmethod
+    def _python(*args: str) -> subprocess.CompletedProcess:
+        src = str(Path(metric_mend.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                              env=env, timeout=120, check=False)
+
+    def test_module_run_warns_nothing(self):
+        # runpy warns when a package import has already loaded the module it runs
+        proc = self._python("-W", "error::RuntimeWarning", "-m", "metric_mend.cli", "--help")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert "usage:" in proc.stdout
+
+    def test_cli_loads_on_first_read(self):
+        proc = self._python("-c", "import sys, metric_mend\n"
+                            "assert 'metric_mend.cli' not in sys.modules\n"
+                            "metric_mend.run_pipeline\n"
+                            "assert 'metric_mend.cli' in sys.modules")
+        assert proc.returncode == 0, proc.stderr
 
 
 def test_text_format_smoke(capsys, k3_file):

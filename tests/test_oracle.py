@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -147,6 +148,19 @@ class TestBruteCuts:
         cut = brute_lbcut(5, edges, 0, 2, 2)
         assert len(cut) == 1
         assert helpers.lbcut_feasible(edges, cut, 0, 2, 2)
+
+    def test_multicut_is_the_lbcut_at_bound_n_minus_1(self):
+        rng = random.Random(61)
+        for _ in range(60):
+            n = rng.randint(2, 6)
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            rng.shuffle(pairs)
+            s, t = pairs.pop()
+            edges = pairs[:rng.randint(0, min(8, len(pairs)))]
+            multicut, lbcut = WorkBudget(10_000), WorkBudget(10_000)
+            assert (brute_multicut(n, edges, [(s, t)], budget=multicut)
+                    == brute_lbcut(n, edges, s, t, n - 1, budget=lbcut))
+            assert multicut.used == lbcut.used
 
     def test_lbcut_bound_already_met(self):
         assert brute_lbcut(3, [(0, 1), (1, 2)], 0, 2, 1) == frozenset()

@@ -31,6 +31,7 @@ from metric_mend.reductions import (
     serialize_lbcut,
     serialize_multicut,
 )
+from metric_mend.solver import ProblemKind
 
 import helpers
 
@@ -87,6 +88,22 @@ class TestMulticutReduction:
             assert len(source) == reduced.size
             mapped = art.map_back(reduced.edges)
             assert helpers.multicut_feasible(edges, mapped, demands)
+
+    def test_one_demand_is_the_lbcut_at_bound_n_minus_1(self):
+        # a connected pair is joined by a simple path of at most n - 1 edges
+        rng = random.Random(16)
+        for _ in range(60):
+            n = rng.randint(2, 7)
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            rng.shuffle(pairs)
+            s, t = pairs.pop()
+            edges = tuple(sorted(pairs[:rng.randint(0, len(pairs))]))
+            mc = multicut_to_gmvid(MulticutInstance(n=n, edges=edges, demands=((t, s),)))
+            lb = lbcut_to_gmvid(LbCutInstance(n=n, edges=edges, source=s, sink=t,
+                                              bound=n - 1))
+            assert mc.instance == lb.instance and mc.kind is lb.kind
+            assert mc.back_map == lb.back_map
+            assert (mc.added_edges, mc.added_vertices) == (lb.added_edges, lb.added_vertices)
 
 
 class TestLbCutReduction:
@@ -161,10 +178,11 @@ class TestGmvidToGmvd:
             assert art.instance.weight(2, vid) == 1
 
     def test_metric_input_unchanged(self):
-        g = Graph(3, [(0, 1, 1), (1, 2, 1), (0, 2, 2)])
-        art = gmvid_to_gmvd(g)
-        assert art.instance == g
-        assert not art.added_edges and not art.added_vertices
+        for g in (Graph(3, [(0, 1, 1), (1, 2, 1), (0, 2, 2)]), Graph(3, [])):
+            art = gmvid_to_gmvd(g)
+            assert art.instance == g and art.kind is ProblemKind.GMVD
+            assert art.back_map == {e: e for e in g.edges()}
+            assert not art.added_edges and not art.added_vertices
 
     def test_k3_optima_agree(self, k3):
         art = gmvid_to_gmvd(k3)
