@@ -350,10 +350,10 @@ def cmd_generate(args) -> int:
 def cmd_oracle(args) -> int:
     g = parse_instance(_read_text(args.instance))
     budget = WorkBudget(args.oracle_budget)
+    inventory = enumerate_unbalanced_cycles(g, budget=budget)
     report: dict = {"command": "oracle", "what": args.what,
-                    "instance": _instance_summary(g, args.instance)}
+                    "instance": _instance_summary(g, args.instance, inventory.max_deficit)}
     if args.what == "inventory":
-        inventory = enumerate_unbalanced_cycles(g, budget=budget)
         report["inventory"] = {
             "unbalanced_cycles": len(inventory),
             "distinct_deficits": [format_weight(d) for d in inventory.distinct_deficits],
@@ -362,7 +362,7 @@ def cmd_oracle(args) -> int:
         }
     else:
         kind = CoverKind(args.cover_kind)
-        solution = exact_min_cover(g, kind, budget=budget)
+        solution = exact_min_cover(g, kind, budget=budget, inventory=inventory)
         report["min_cover"] = {
             "kind": kind.value,
             "size": solution.size,

@@ -71,9 +71,14 @@ class Graph:
     they are given, so a search on G minus S runs on ``without_edges(S)``.
     :meth:`with_weight` is the one way to set a zero weight; the repair never
     does, and ``repair.lift_zero_edges`` accepts a graph that has some.
+
+    Being immutable, a graph keeps the answers of its cycle checks: the memo
+    maps each ``(top cover, non-top cover)`` pair that
+    :func:`find_uncovered_cycle` has searched to its witness or None.  A
+    derived graph is a new object and starts with an empty memo.
     """
 
-    __slots__ = ("n", "_weights", "_adj")
+    __slots__ = ("n", "_weights", "_adj", "_checks")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, object]]):
         if n < 1:
@@ -102,6 +107,7 @@ class Graph:
             adj[u].append((v, wf))
             adj[v].append((u, wf))
         self._adj = adj
+        self._checks = {}  # (top cover, non-top cover) -> witness or None
         return self
 
     @property
@@ -183,7 +189,7 @@ def _parse_weight_token(token: str, line: int) -> Weight:
         den = 0
     if den <= 0:
         raise InstanceFormatError(f"malformed weight {token!r}", line)
-    return Fraction(num, den)
+    return Fraction(num, den) if slash else num
 
 
 #: Largest vertex count a file header may declare, so that a ten-byte header
@@ -233,9 +239,8 @@ class LineReader:
     def _values(self, shape: str, tokens: list[str], label: str) -> tuple:
         fields = shape.split()
         skip = 1 if fields[0].isupper() else 0  # the keyword field
-        mismatch = f"expected {label}{shape!r}, got {' '.join(tokens)!r}"
         if len(tokens) != len(fields) or tokens[:skip] != fields[:skip]:
-            raise InstanceFormatError(mismatch, self.lineno)
+            raise self._mismatch(shape, tokens, label)
         values = []
         for field, token in zip(fields[skip:], tokens[skip:]):
             if field == "w":
@@ -244,7 +249,7 @@ class LineReader:
             try:
                 value = int(token)
             except ValueError:
-                raise InstanceFormatError(mismatch, self.lineno) from None
+                raise self._mismatch(shape, tokens, label) from None
             if field == "n" and not 1 <= value <= MAX_VERTICES:
                 raise InstanceFormatError(
                     f"vertex count must lie in [1, {MAX_VERTICES}], got {value}", self.lineno)
@@ -253,6 +258,10 @@ class LineReader:
                     f"count {field!r} must be nonnegative, got {value}", self.lineno)
             values.append(value)
         return tuple(values)
+
+    def _mismatch(self, shape: str, tokens: list[str], label: str) -> InstanceFormatError:
+        return InstanceFormatError(f"expected {label}{shape!r}, got {' '.join(tokens)!r}",
+                                   self.lineno)
 
     @contextmanager
     def blame(self):
@@ -515,9 +524,20 @@ def find_uncovered_cycle(g: Graph, top_cover: Iterable[Edge],
     ``nontop_cover`` edges (such a shortest path is simple and cannot use e).
     Returns a maximum-deficit witness, ties broken by lexicographic top edge,
     or None when every unbalanced cycle is covered.
+
+    Both edge sets are checked on every call; the search itself runs once
+    per graph and pair of sets, whose answer the graph's memo then keeps.
     """
     a = _check_edge_subset(g, top_cover, "top_cover")
     b = _check_edge_subset(g, nontop_cover, "nontop_cover")
+    memo = g._checks
+    if (a, b) not in memo:
+        memo[a, b] = _uncovered_cycle(g, a, b)
+    return memo[a, b]
+
+
+def _uncovered_cycle(g: Graph, a: frozenset[Edge], b: frozenset[Edge]) -> CycleWitness | None:
+    """The search behind :func:`find_uncovered_cycle`, on checked edge sets."""
     h = g.without_edges(b) if b else g  # the graph searched; top weights stay g's
     best: tuple[Weight, Edge, list] | None = None  # deficit, top, its parent row
     tops = ((e, w) for e, w in g.edge_items() if e not in a)

@@ -67,23 +67,17 @@ class CycleInventory:
         return len(self.cycles)
 
 
-def _witness_from_cycle(g: Graph, vertices: list[int]) -> CycleWitness | None:
-    # vertices is the cyclic order; edges[i] joins vertices[i] and vertices[i+1 mod k]
+def _witness_from_cycle(g: Graph, vertices: list[int]) -> CycleWitness:
+    """The witness of an unbalanced cycle given in cyclic order.  Its top is
+    its heaviest edge, which is unique: a second one would balance the cycle."""
+    # edges[i] joins vertices[i] and vertices[i+1 mod k]
     k = len(vertices)
     cycle_edges = [canonical_edge(vertices[i], vertices[(i + 1) % k]) for i in range(k)]
     weights = [g.weight(*e) for e in cycle_edges]
-    total = sum(weights)
-    # largest weight wins; ties (only possible in balanced cycles) break by edge order
-    top_idx = 0
-    for i in range(1, k):
-        if weights[i] > weights[top_idx] or (
-                weights[i] == weights[top_idx] and cycle_edges[i] < cycle_edges[top_idx]):
-            top_idx = i
-    deficit = weights[top_idx] - (total - weights[top_idx])
-    if deficit <= 0:
-        return None
+    top_idx = max(range(k), key=weights.__getitem__)
     nontop = tuple(cycle_edges[top_idx + 1:] + cycle_edges[:top_idx])
-    return CycleWitness(top=cycle_edges[top_idx], nontop=nontop, deficit=deficit)
+    return CycleWitness(top=cycle_edges[top_idx], nontop=nontop,
+                        deficit=2 * weights[top_idx] - sum(weights))
 
 
 def enumerate_unbalanced_cycles(g: Graph, budget: WorkBudget | None = None) -> CycleInventory:
@@ -91,37 +85,47 @@ def enumerate_unbalanced_cycles(g: Graph, budget: WorkBudget | None = None) -> C
 
     Canonical traversal: the root is the cycle's smallest vertex and the
     direction is fixed by requiring the second vertex to be smaller than the
-    last.  Intended for small n; the budget counts DFS extensions and fails
-    fast on oversized inputs.  The search keeps its own stack of neighbor
-    iterators, one per path vertex, so path length is not bounded by the
-    interpreter's recursion limit.
+    last.  Intended for small n; the budget is charged one unit per
+    neighbour the search examines and fails fast on oversized inputs.  The
+    search keeps its own stack of neighbor iterators, one per path vertex,
+    so path length is not bounded by the interpreter's recursion limit, and
+    the path's edge weights beside it: a closed cycle is unbalanced when its
+    heaviest edge outweighs the rest, and only then is its witness built.
     """
     if budget is None:
         budget = WorkBudget(DEFAULT_BUDGET)
     found: list[CycleWitness] = []
+    rows = [g.neighbors(u) for u in range(g.n)]
     on_path = [False] * g.n
-
-    for root in range(g.n):
-        path = [root]
-        on_path[root] = True
-        pending = [iter(g.neighbors(root))]  # pending[i]: unvisited neighbors of path[i]
-        while pending:
-            for v, _ in pending[-1]:
-                budget.charge()
-                if v == root and len(path) >= 3 and path[1] < path[-1]:
-                    witness = _witness_from_cycle(g, path)
-                    if witness is not None:
-                        found.append(witness)
-                    continue
-                if v <= root or on_path[v]:
-                    continue
-                path.append(v)
-                on_path[v] = True
-                pending.append(iter(g.neighbors(v)))
-                break
-            else:  # every neighbor of path[-1] tried: backtrack
-                pending.pop()
-                on_path[path.pop()] = False
+    used, limit = budget.used, budget.limit
+    try:
+        for root in range(g.n):
+            path, weights = [root], []  # weights[i] joins path[i] and path[i+1]
+            on_path[root] = True
+            pending = [iter(rows[root])]  # pending[i]: unvisited neighbors of path[i]
+            while pending:
+                for v, w in pending[-1]:
+                    used += 1
+                    if used > limit:
+                        raise BudgetExceededError(f"work budget of {limit} exhausted")
+                    if v == root:
+                        if (len(path) >= 3 and path[1] < path[-1]
+                                and 2 * max(max(weights), w) > sum(weights) + w):
+                            found.append(_witness_from_cycle(g, path))
+                        continue
+                    if v < root or on_path[v]:
+                        continue
+                    path.append(v)
+                    weights.append(w)
+                    on_path[v] = True
+                    pending.append(iter(rows[v]))
+                    break
+                else:  # every neighbor of path[-1] tried: backtrack
+                    pending.pop()
+                    on_path[path.pop()] = False
+                    del weights[-1:]  # no weight is left when the root pops
+    finally:
+        budget.used = used
 
     found.sort(key=lambda w: (w.top, w.nontop))
     deficits = tuple(sorted({w.deficit for w in found}))
@@ -163,13 +167,16 @@ def _first_subset(items: list, accepts, budget: WorkBudget | None) -> tuple:
     raise BudgetExceededError("subset search exhausted without an accepted subset")
 
 
-def exact_min_cover(g: Graph, kind: CoverKind, budget: WorkBudget | None = None):
+def exact_min_cover(g: Graph, kind: CoverKind, budget: WorkBudget | None = None,
+                    inventory: CycleInventory | None = None):
     """Minimum-cardinality cover by subset search, lexicographically first.
 
     A cover is a hitting set of the enumerated inventory: a subset is a
     regular cover when it meets every unbalanced cycle, and a non-top cover
     when it meets every cycle's non-top path.  Candidates are the edges that
     lie on such a cycle part (a minimum cover never contains a useless edge).
+    A precomputed inventory of ``g`` may be passed; the budget then pays for
+    the subset search alone.
     """
     if kind is CoverKind.REGULAR:
         problem, role = ProblemKind.GMVD, Role.UNASSIGNED
@@ -179,7 +186,8 @@ def exact_min_cover(g: Graph, kind: CoverKind, budget: WorkBudget | None = None)
         raise ValueError("exact_min_cover supports regular and nontop covers")
     if budget is None:
         budget = WorkBudget(DEFAULT_BUDGET)
-    inventory = enumerate_unbalanced_cycles(g, budget=budget)
+    if inventory is None:
+        inventory = enumerate_unbalanced_cycles(g, budget=budget)
     parts = [c.edges if kind is CoverKind.REGULAR else c.nontop for c in inventory.cycles]
     candidates = sorted({e for part in parts for e in part})
     bit = {e: 1 << i for i, e in enumerate(candidates)}

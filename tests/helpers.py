@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from metric_mend.core import (
     CoverKind,
+    CycleWitness,
     Graph,
     INFINITY,
     InternalConsistencyError,
@@ -24,6 +25,7 @@ from metric_mend.core import (
     graph_deficit,
     validate_cover,
 )
+from metric_mend.oracle import CycleInventory, WorkBudget
 from metric_mend.repair import CoverInvalidError, SplitCover
 
 # Registry filled by the acceptance suite and printed in the terminal summary.
@@ -163,6 +165,60 @@ def multicut_feasible(edges, removed, demands) -> bool:
 def lbcut_feasible(edges, removed, source: int, sink: int, bound: int) -> bool:
     """Every remaining source-sink path is longer than ``bound`` edges."""
     return _hop_distances(edges, removed, source).get(sink, bound + 1) > bound
+
+
+# ---------------------------------------------------------------------------
+# Reference cycle enumerator
+
+
+def _reference_witness(g: Graph, vertices: list[int]) -> CycleWitness | None:
+    k = len(vertices)
+    cycle_edges = [canonical_edge(vertices[i], vertices[(i + 1) % k]) for i in range(k)]
+    weights = [g.weight(*e) for e in cycle_edges]
+    total = sum(weights)
+    top_idx = 0
+    for i in range(1, k):
+        if weights[i] > weights[top_idx] or (
+                weights[i] == weights[top_idx] and cycle_edges[i] < cycle_edges[top_idx]):
+            top_idx = i
+    deficit = weights[top_idx] - (total - weights[top_idx])
+    if deficit <= 0:
+        return None
+    nontop = tuple(cycle_edges[top_idx + 1:] + cycle_edges[:top_idx])
+    return CycleWitness(top=cycle_edges[top_idx], nontop=nontop, deficit=deficit)
+
+
+def reference_enumeration(g: Graph, budget: WorkBudget) -> CycleInventory:
+    """The plain depth-first enumeration that ``enumerate_unbalanced_cycles``
+    must reproduce: the same roots, neighbour order and canonical direction,
+    a witness tried on every closed cycle, and ``budget.charge()`` once per
+    neighbour examined."""
+    found = []
+    on_path = [False] * g.n
+    for root in range(g.n):
+        path = [root]
+        on_path[root] = True
+        pending = [iter(g.neighbors(root))]
+        while pending:
+            for v, _ in pending[-1]:
+                budget.charge()
+                if v == root and len(path) >= 3 and path[1] < path[-1]:
+                    witness = _reference_witness(g, path)
+                    if witness is not None:
+                        found.append(witness)
+                    continue
+                if v <= root or on_path[v]:
+                    continue
+                path.append(v)
+                on_path[v] = True
+                pending.append(iter(g.neighbors(v)))
+                break
+            else:
+                pending.pop()
+                on_path[path.pop()] = False
+    found.sort(key=lambda w: (w.top, w.nontop))
+    return CycleInventory(cycles=tuple(found),
+                          distinct_deficits=tuple(sorted({w.deficit for w in found})))
 
 
 # ---------------------------------------------------------------------------

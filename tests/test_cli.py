@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import metric_mend
-from metric_mend import cli
+from metric_mend import cli, core, oracle
 from metric_mend.cli import _verdicts, main, run_pipeline
 from metric_mend.core import (MAX_VERTICES, Graph, all_pairs_shortest_paths, graph_deficit,
                               is_metric, parse_instance, serialize_instance)
@@ -238,6 +238,31 @@ class TestOracleCommand:
 
     def test_budget_exhaustion_is_input_error(self, capsys, k3_file):
         assert main(["oracle", k3_file, "--oracle-budget", "1"]) == 2
+
+    @pytest.mark.parametrize("what", [["--what", "inventory"],
+                                      ["--what", "mincover", "--cover-kind", "regular"],
+                                      ["--what", "mincover", "--cover-kind", "nontop"]])
+    @pytest.mark.parametrize("text, deficit", [(K3_TEXT, "3"), (METRIC_TEXT, "0")])
+    def test_enumerates_once_and_never_checks(self, monkeypatch, capsys, tmp_path,
+                                              what, text, deficit):
+        path = tmp_path / "g.txt"
+        path.write_text(text, encoding="utf-8")
+        enumerations, checks = [], []
+        enumerate_ = oracle.enumerate_unbalanced_cycles
+
+        def counting(*args, **kwargs):
+            enumerations.append(kwargs)  # the budget goes by keyword: the tracer reads it there
+            return enumerate_(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "enumerate_unbalanced_cycles", counting)
+        monkeypatch.setattr(oracle, "enumerate_unbalanced_cycles", counting)
+        monkeypatch.setattr(cli, "find_uncovered_cycle", lambda *a: checks.append(a))
+        monkeypatch.setattr(core, "_uncovered_cycle", lambda *a: checks.append(a))
+        code, report = run_json(capsys, ["oracle", str(path)] + what)
+        assert code == 0 and checks == []
+        assert len(enumerations) == 1 and "budget" in enumerations[0]
+        assert report["instance"]["deficit"] == deficit
+        assert report["instance"]["metric"] is (deficit == "0")
 
 
 class TestBench:

@@ -27,6 +27,7 @@ from metric_mend.core import (
     serialize_instance,
     validate_cover,
 )
+from metric_mend import core, repair
 from metric_mend.oracle import enumerate_unbalanced_cycles
 from metric_mend.reductions import parse_lbcut, parse_multicut
 from metric_mend.solver import ProblemKind
@@ -502,6 +503,59 @@ class TestDerivedGraphs:
         zero = k3.with_weight((1, 0), 0)
         assert zero.weight(0, 1) == 0 and zero.has_zero_weight()
         assert not k3.has_zero_weight()
+
+
+class TestCheckMemo:
+    """A graph keeps the answer of each cycle check; a derived graph is a new
+    object and asks afresh."""
+
+    @staticmethod
+    def _count(monkeypatch) -> tuple[list, list]:
+        calls, searches = [], []
+        find, search = core.find_uncovered_cycle, core._uncovered_cycle
+
+        def counting_find(*args):
+            calls.append(args[0])
+            return find(*args)
+
+        def counting_search(*args):
+            searches.append(args[0])
+            return search(*args)
+
+        for module in (core, repair):
+            monkeypatch.setattr(module, "find_uncovered_cycle", counting_find)
+        monkeypatch.setattr(core, "_uncovered_cycle", counting_search)
+        return calls, searches
+
+    @pytest.mark.parametrize("kind, calls_over_moves, searches_over_moves",
+                             [(ProblemKind.GMVD, 7, 3), (ProblemKind.GMVID, 5, 2)])
+    def test_pipeline_runs_each_distinct_check_once(self, monkeypatch, kind,
+                                                    calls_over_moves, searches_over_moves):
+        g = helpers.rational_instance(n=7, violations=3, seed=123)
+        calls, searches = self._count(monkeypatch)
+        result = run_pipeline(g, kind, repair=True)
+        assert result.steps > 0 and result.verdicts["all_ok"]
+        assert len(calls) == result.steps + calls_over_moves
+        assert len(searches) == result.steps + searches_over_moves
+
+    def test_a_derived_graph_starts_with_no_answers(self, monkeypatch):
+        g = Graph(3, [(0, 1, 1), (1, 2, 1), (0, 2, 2)])
+        assert is_metric(g)
+        _, searches = self._count(monkeypatch)
+        assert is_metric(g) and g.scaled(1) is g and searches == []
+        heavy = g.with_weight((0, 2), 5)
+        assert not is_metric(heavy) and len(searches) == 1
+        assert find_uncovered_cycle(heavy, (), ()).deficit == 3 and len(searches) == 1
+        for derived in (g.without_edges([(0, 2)]), g.scaled(2), heavy.with_weight((0, 2), 2)):
+            assert is_metric(derived)
+        assert len(searches) == 4
+
+    def test_an_answered_check_still_refuses_non_edges(self, k3):
+        assert find_uncovered_cycle(k3, [(0, 2)], ()) is None
+        with pytest.raises(ValueError, match=r"top_cover contains non-edge \(0, 3\)"):
+            find_uncovered_cycle(k3, [(0, 2), (0, 3)], ())
+        with pytest.raises(ValueError, match="nontop_cover"):
+            find_uncovered_cycle(k3, [(0, 2)], [(1, 3)])
 
 
 def test_shared_k3_fixture_text(k3):

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from metric_mend import oracle
 from metric_mend.core import CoverKind, Graph, validate_cover
 from metric_mend.oracle import (
     BudgetExceededError,
@@ -74,6 +77,74 @@ class TestEnumeration:
         assert inventory.max_deficit == 1
 
 
+    def test_isolated_vertices_cost_no_scan_per_root(self):
+        g = Graph(10_000, [(0, 1, 1)])
+        start = time.perf_counter()
+        inventory = enumerate_unbalanced_cycles(g)
+        assert time.perf_counter() - start < 1.0
+        assert len(inventory) == 0
+
+    def test_witness_built_only_for_unbalanced_cycles(self, monkeypatch, chorded_square):
+        built = []
+        witness = oracle._witness_from_cycle
+
+        def counting(g, vertices):
+            built.append(tuple(vertices))
+            return witness(g, vertices)
+
+        monkeypatch.setattr(oracle, "_witness_from_cycle", counting)
+        # two unbalanced triangles and the balanced unit 4-cycle
+        assert len(enumerate_unbalanced_cycles(chorded_square)) == len(built) == 2
+        built.clear()
+        assert len(enumerate_unbalanced_cycles(Graph(
+            4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)]))) == len(built) == 0
+        for seed in range(6):
+            built.clear()
+            assert len(enumerate_unbalanced_cycles(gen_random(7, 0.6, 10, 2, seed))) == len(built)
+
+
+@st.composite
+def small_graphs(draw, max_n=8):
+    """Graphs on up to eight vertices with int and Fraction weights; a drawn
+    edge subset leaves many of them disconnected or with isolated vertices."""
+    n = draw(st.integers(1, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = sorted(draw(st.sets(st.sampled_from(pairs)))) if pairs else []
+    weights = draw(st.lists(
+        st.one_of(st.integers(1, 9),
+                  st.fractions(min_value=Fraction(1, 4), max_value=9, max_denominator=4)),
+        min_size=len(chosen), max_size=len(chosen)))
+    return Graph(n, [(u, v, w) for (u, v), w in zip(chosen, weights)])
+
+
+def _outcome(enumerate_, g: Graph, limit: int, used: int):
+    budget = WorkBudget(limit, used)
+    try:
+        result = enumerate_(g, budget)
+    except BudgetExceededError as exc:
+        result = str(exc)
+    return result, budget.used
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs())
+@example(Graph(8, [(0, 1, 1), (1, 2, 1), (0, 2, 5), (4, 5, 2), (5, 6, 2), (4, 6, 9)]))
+@example(Graph(6, [(1, 2, Fraction(1, 2)), (2, 4, Fraction(1, 3)), (1, 4, 1), (3, 5, 2)]))
+@example(Graph(4, [(0, 1, 1), (1, 2, 1), (0, 2, 2), (2, 3, 1), (0, 3, 3)]))  # tight cycles
+def test_enumerator_matches_its_reference(g):
+    budget, reference = WorkBudget(10**9), WorkBudget(10**9)
+    inventory = enumerate_unbalanced_cycles(g, budget=budget)
+    assert inventory == helpers.reference_enumeration(g, reference)
+    assert budget.used == reference.used
+    total = budget.used
+    # at and around the unit where the budget runs out, from a fresh budget
+    # and from one a previous search has partly used
+    for limit in range(max(total - 3, 0), total + 2):
+        for used in (0, 7):
+            assert (_outcome(enumerate_unbalanced_cycles, g, limit + used, used)
+                    == _outcome(helpers.reference_enumeration, g, limit + used, used))
+
+
 class TestBruteCount:
     def test_chorded_square_counts(self, chorded_square):
         assert brute_count(chorded_square, Fraction(3), (0, 2), "top") == 2
@@ -122,6 +193,15 @@ class TestExactMinCover:
             regular = exact_min_cover(g, CoverKind.REGULAR).size
             nontop = exact_min_cover(g, CoverKind.NONTOP).size
             assert nontop >= regular
+
+    def test_takes_an_inventory(self):
+        g = gen_random(7, 0.6, 10, 2, 11)
+        for kind in (CoverKind.REGULAR, CoverKind.NONTOP):
+            alone, shared = WorkBudget(10**6), WorkBudget(10**6)
+            expected = exact_min_cover(g, kind, budget=alone)
+            inventory = enumerate_unbalanced_cycles(g, budget=shared)
+            assert exact_min_cover(g, kind, budget=shared, inventory=inventory) == expected
+            assert shared.used == alone.used
 
     def test_top_kind_rejected(self, k3):
         with pytest.raises(ValueError):
