@@ -353,9 +353,8 @@ def dijkstra(g: Graph, source: int, bound: Weight | float = INFINITY) -> tuple[l
     (ints when every weight is an int) and its parent is a tree edge, the
     same distance and parent an unbounded run gives.  Any other entry is
     INFINITY or a tentative value ``>= bound`` whose parent is not a tree
-    edge, so a caller compares an entry with a value up to ``bound`` before
-    doing arithmetic with it, as ``find_uncovered_cycle`` tests ``d < w``
-    before it takes ``w - d``.
+    edge; :func:`edge_distances` is the one reader of a bounded row, and it
+    caps each entry at its edge's weight before any caller sees it.
     """
     n = g.n
     dist: list = [INFINITY] * n
@@ -445,21 +444,24 @@ def all_pairs_shortest_paths(g: Graph) -> DistanceTables:
 
 
 def edge_distances(h: Graph, edges: Iterable[tuple[Edge, Weight]]) -> Iterator[tuple]:
-    """``(edge, weight, d, parent row of u)`` for each of the sorted
-    ``(edge, weight)`` pairs, with d the distance of u and v in ``h`` when
-    that is below the weight and some value at or above the weight
-    otherwise; the parent row holds a shortest u-v path in the first case.
+    """``(edge, w, d, parent row of u)`` for each of the sorted ``(edge, w)``
+    pairs, with d = min(d(u, v) in ``h``, w): exact, so ``w - d`` is the
+    edge's excess, 0 when the edge is not violated.  When d < w the parent
+    row holds a shortest u-v path.
 
     One Dijkstra run in ``h`` per distinct lower endpoint u, stopped at the
     largest weight among u's listed edges, and only one row held at a time:
     the way to ask whether d(u, v) < w for each edge without an n x n table.
-    The edges need not be edges of ``h``.
+    A row entry at or above w shows only that d(u, v) >= w (past the bound
+    it is INFINITY or tentative), so it reads as w.  The edges need not be
+    edges of ``h``.
     """
     for u, group in groupby(edges, key=lambda item: item[0][0]):
         row = list(group)
         dist, parent = dijkstra(h, u, max(w for _, w in row))
         for (_, v), w in row:
-            yield (u, v), w, dist[v], parent
+            d = dist[v]
+            yield (u, v), w, d if d < w else w, parent
 
 
 # ---------------------------------------------------------------------------
@@ -539,19 +541,16 @@ def find_uncovered_cycle(g: Graph, top_cover: Iterable[Edge],
 def _uncovered_cycle(g: Graph, a: frozenset[Edge], b: frozenset[Edge]) -> CycleWitness | None:
     """The search behind :func:`find_uncovered_cycle`, on checked edge sets."""
     h = g.without_edges(b) if b else g  # the graph searched; top weights stay g's
-    best: tuple[Weight, Edge, list] | None = None  # deficit, top, its parent row
+    deficit, top, parent = 0, None, None  # the first maximum so far, and its row
     tops = ((e, w) for e, w in g.edge_items() if e not in a)
-    for e, w, d, parent in edge_distances(h, tops):
-        if d < w:  # before w - d: an unreachable float d must not meet a huge w
-            deficit = w - d
-            if best is None or deficit > best[0]:
-                best = (deficit, e, parent)
-    if best is None:
+    for e, w, d, row in edge_distances(h, tops):
+        if w - d > deficit:
+            deficit, top, parent = w - d, e, row
+    if top is None:
         return None
-    deficit, (u, v), parent = best
-    vertices = _path_from_parents(parent, u, v)
+    vertices = _path_from_parents(parent, *top)
     nontop = tuple(canonical_edge(x, y) for x, y in zip(vertices, vertices[1:]))
-    return CycleWitness(top=(u, v), nontop=nontop, deficit=deficit)
+    return CycleWitness(top=top, nontop=nontop, deficit=deficit)
 
 
 def is_metric(g: Graph) -> bool:

@@ -35,6 +35,7 @@ from .core import (
     _check_edge_subset,
     canonical_edge,
     dijkstra,
+    edge_distances,
     find_uncovered_cycle,
     format_weight,
     is_metric,
@@ -65,10 +66,10 @@ class SplitCover:
 
 @dataclass(frozen=True)
 class RepairOutcome:
-    """Repaired graph plus the per-edge weight changes and the move count."""
+    """Repaired graph and the move count; the changed weights are those of
+    ``graph`` that differ from the input's."""
 
     graph: Graph
-    changed: Mapping[Edge, tuple[Weight, Weight]]
     steps: int
 
 
@@ -94,11 +95,10 @@ def split_cover(g: Graph, cover: Iterable[Edge]) -> SplitCover:
         raise CoverInvalidError("not a regular cover", witness)
     s_minus: set[Edge] = set()
     h = g.without_edges(cover_set)  # g - (cover - s_minus), rebuilt when s_minus grows
-    for x, y in sorted(cover_set):
-        w_b = g.weight(x, y)
-        dist, _ = dijkstra(h, x, w_b)
-        if dist[y] < w_b:
-            s_minus.add((x, y))
+    for b in sorted(cover_set):
+        [(_, w_b, d, _)] = edge_distances(h, [(b, g.weight(*b))])
+        if d < w_b:
+            s_minus.add(b)
             h = g.without_edges(cover_set - s_minus)
     split = SplitCover(s_plus=cover_set - s_minus, s_minus=frozenset(s_minus))
     witness = find_uncovered_cycle(g, split.s_minus, split.s_plus)
@@ -143,9 +143,7 @@ def repair_weights(g: Graph, split: SplitCover) -> RepairOutcome:
     else:
         raise InternalConsistencyError("repair exceeded its move budget")
 
-    final = work.scaled(Fraction(1, factor))
-    changed = {e: (w, final.weight(*e)) for e, w in g.edge_items() if final.weight(*e) != w}
-    return RepairOutcome(graph=final, changed=changed, steps=steps)
+    return RepairOutcome(graph=work.scaled(Fraction(1, factor)), steps=steps)
 
 
 def _apply_safe_move(work: Graph, witness: CycleWitness, s_plus: frozenset[Edge],
@@ -159,11 +157,8 @@ def _apply_safe_move(work: Graph, witness: CycleWitness, s_plus: frozenset[Edge]
         # raising f is safe up to the shortest f-endpoint path that avoids the
         # increase half entirely: only cycles topped by f can become unbalanced,
         # and those are escape cycles exactly when such a shorter path exists.
-        # The move never goes past w_f + deficit, so neither does the search:
-        # a limit at or past it reads some value >= w_f + deficit, and the
-        # deficit is a positive int on the scaled graph.
-        dist, _ = dijkstra(h, f[0], w_f + deficit)
-        if (limit := min(w_f + deficit, dist[f[1]])) > w_f:
+        [(_, _, limit, _)] = edge_distances(h, [(f, w_f + deficit)])
+        if limit > w_f:
             return work.with_weight(f, limit)
 
     t = witness.top

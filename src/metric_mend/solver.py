@@ -183,7 +183,6 @@ def greedy_solve(g: Graph, kind: ProblemKind) -> CoverSolution:
     selected: list[Edge] = []
     layers: list[Weight] = []
     for _ in range(g.m + 1):
-        # the violated edges; d < w is exact, and any other edge reads d = w
         excess = {e: w - d for e, w, d, _ in edge_distances(work, violated) if d < w}
         if not excess:
             break

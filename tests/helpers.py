@@ -116,6 +116,13 @@ def increase_only(cover) -> SplitCover:
                       s_minus=frozenset())
 
 
+def changed(g: Graph, h: Graph) -> dict:
+    """``{edge: (weight in g, weight in h)}`` for each edge a repair moved;
+    a repair keeps the edge set, so ``h`` must have exactly ``g``'s edges."""
+    assert h.edges() == g.edges(), "the repair changed the edge set"
+    return {e: (w, h.weight(*e)) for e, w in g.edge_items() if h.weight(*e) != w}
+
+
 def two_probe_split(g: Graph, cover) -> SplitCover:
     """The two-probe split: edges are assigned one at a time, candidate b
     going to the plus half if that keeps every unbalanced cycle covered with

@@ -96,7 +96,7 @@ class TestSolve:
 
     def test_out_not_written_when_verification_fails(self, monkeypatch, capsys, tmp_path):
         def zeroing(g, *args, **kwargs):
-            return RepairOutcome(graph=g.with_weight((0, 1), 0), changed={}, steps=1)
+            return RepairOutcome(graph=g.with_weight((0, 1), 0), steps=1)
         monkeypatch.setattr(metric_mend.cli, "repair_weights", zeroing)
         src = tmp_path / "tri.txt"
         src.write_text("3 3\n0 1 10\n0 2 2\n1 2 2\n", encoding="utf-8")
@@ -445,7 +445,7 @@ def test_internal_value_error_exits_3_without_traceback(capsys, monkeypatch, k3_
 def test_zero_weight_from_repair_fails_verification(monkeypatch):
     # a zero is not a valid output weight, so nothing may lift it out of sight
     def zeroing(g, *args, **kwargs):
-        return RepairOutcome(graph=g.with_weight((0, 1), 0), changed={}, steps=1)
+        return RepairOutcome(graph=g.with_weight((0, 1), 0), steps=1)
     monkeypatch.setattr(metric_mend.cli, "repair_weights", zeroing)
     g = Graph(3, [(0, 1, 10), (0, 2, 2), (1, 2, 2)])
     result = run_pipeline(g, ProblemKind.GMVD, repair=True)

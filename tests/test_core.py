@@ -326,9 +326,9 @@ def test_edge_distances_answer_d_below_w_exactly(g):
     assert [(e, w) for e, w, _, _ in rows] == g.edge_items()
     for (u, v), w, d, parent in rows:
         full_dist, full_parent = dijkstra(g, u)
-        assert (d < w) == (full_dist[v] < w)
+        assert d == min(full_dist[v], w)  # exact, never INFINITY or tentative
         if d < w:
-            assert d == full_dist[v] and parent[v] == full_parent[v]
+            assert parent[v] == full_parent[v]
 
 
 def test_edge_distances_with_an_all_zero_row():

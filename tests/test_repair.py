@@ -7,7 +7,6 @@ import pytest
 
 from metric_mend import repair
 from metric_mend.core import (
-    INFINITY,
     CoverKind,
     Graph,
     InternalConsistencyError,
@@ -90,9 +89,8 @@ class TestSplitCover:
     def test_final_check_catches_a_wrong_split(self, monkeypatch, k3):
         """Forcing every edge into the plus half leaves the heavy chord's
         cycle uncovered, which the final search must report."""
-        monkeypatch.setattr(repair, "dijkstra",
-                            lambda g, source, bound=INFINITY: ([INFINITY] * g.n,
-                                                               [None] * g.n))
+        monkeypatch.setattr(repair, "edge_distances",  # "no shorter path": d = w
+                            lambda h, edges: ((e, w, w, None) for e, w in edges))
         with pytest.raises(InternalConsistencyError, match="uncovered"):
             split_cover(k3, {(0, 2)})
 
@@ -108,7 +106,7 @@ class TestRepairWeights:
         assert out.graph.weight(1, 2) == 1
         assert out.graph.weight(0, 2) == 5
         assert is_metric(out.graph)
-        assert out.changed == {(0, 1): (Fraction(1), Fraction(4))}
+        assert helpers.changed(k3, out.graph) == {(0, 1): (Fraction(1), Fraction(4))}
 
     def test_decrease_trace(self, k3):
         split = SplitCover(s_plus=frozenset(), s_minus=frozenset({(0, 2)}))
@@ -120,7 +118,7 @@ class TestRepairWeights:
         g = Graph(3, [(0, 1, 1), (1, 2, 1), (0, 2, 2)])
         out = repair_weights(g, helpers.increase_only([(0, 1)]))
         assert out.steps == 0
-        assert out.changed == {}
+        assert helpers.changed(g, out.graph) == {}
         assert out.graph == g
 
     def test_rejects_invalid_cover(self, k3):
@@ -162,7 +160,7 @@ class TestRepairWeights:
         g = Graph(3, [(0, 1, Fraction(1, 3)), (1, 2, Fraction(1, 2)), (0, 2, Fraction(7, 2))])
         out = repair_weights(g, helpers.increase_only([(0, 1), (1, 2)]))
         assert is_metric(out.graph)
-        for e, (old, new) in out.changed.items():
+        for e, (old, new) in helpers.changed(g, out.graph).items():
             assert new > old
 
     def test_contract_on_random_instances(self):
@@ -172,22 +170,21 @@ class TestRepairWeights:
             gd = greedy_solve(g, ProblemKind.GMVD)
             split = split_cover(g, gd.edges)
             out = repair_weights(g, split)
+            changed = helpers.changed(g, out.graph)
             assert is_metric(out.graph)
-            assert set(out.changed) <= set(gd.edges)
-            for e, (old, new) in out.changed.items():
+            assert set(changed) <= set(gd.edges)
+            for e, (old, new) in changed.items():
                 assert 0 < new <= cap  # a jump stops at |P| > 0
                 if e in split.s_plus:
                     assert new > old
                 else:
                     assert new < old
-            for (u, v), w in out.graph.edge_items():
-                if (u, v) not in out.changed:
-                    assert w == g.weight(u, v)
             gi = greedy_solve(g, ProblemKind.GMVID)
             out = repair_weights(g, helpers.increase_only(gi.edges))
+            changed = helpers.changed(g, out.graph)
             assert is_metric(out.graph)
-            assert all(new >= old for old, new in out.changed.values())
-            assert all(new <= cap for _, new in out.changed.values())
+            assert all(new >= old for old, new in changed.values())
+            assert all(new <= cap for _, new in changed.values())
 
 
 def unit_step_repair(monkeypatch, g, split):
@@ -227,9 +224,10 @@ class TestUnitStepVariant:
             outcomes = [repair_weights(g, split), unit_step_repair(monkeypatch, g, split)]
             assert outcomes[0].steps <= outcomes[1].steps
             for out in outcomes:
+                changed = helpers.changed(g, out.graph)
                 assert is_metric(out.graph)
-                assert set(out.changed) <= set(cover)
-                for e, (old, new) in out.changed.items():
+                assert set(changed) <= set(cover)
+                for e, (old, new) in changed.items():
                     assert 0 < new <= cap  # a jump stops at |P| > 0; a unit step lowers w >= 2
                     assert (new > old) == (e in split.s_plus)
 
