@@ -6,8 +6,9 @@ digests.  A change that keeps every cover, tie-break, split, repaired weight
 and verdict passes unchanged; one that moves any output names the runs it
 moved.  ``tests/data/golden_pipeline_large.json`` does the same for a few
 larger instances (n in [24, 64]), ``golden_pipeline_sparse.json`` for two
-sparse ones (n = 200 and 250) and ``golden_pipeline_dense.json`` for two at
-density 0.25 (n = 80 and 120).  After a deliberate output change, rewrite
+sparse ones (n = 200 and 250), ``golden_pipeline_dense.json`` for two at
+density 0.25 (n = 80 and 120) and ``golden_pipeline_many.json`` for three
+with many violations (k disjoint triangles at k = 50 and 100, and n = 1000).  After a deliberate output change, rewrite
 every fixture with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -31,6 +32,7 @@ FIXTURE = Path(__file__).parent / "data" / "golden_pipeline.json"
 LARGE_FIXTURE = Path(__file__).parent / "data" / "golden_pipeline_large.json"
 SPARSE_FIXTURE = Path(__file__).parent / "data" / "golden_pipeline_sparse.json"
 DENSE_FIXTURE = Path(__file__).parent / "data" / "golden_pipeline_dense.json"
+MANY_FIXTURE = Path(__file__).parent / "data" / "golden_pipeline_many.json"
 KINDS = (ProblemKind.GMVD, ProblemKind.GMVID, ProblemKind.GMVDD)
 
 
@@ -80,6 +82,20 @@ def dense_instances() -> list[tuple[str, Graph]]:
     n=120 with integer weights, where the greedy runs tens of rounds."""
     g = gen_random(80, 0.25, 20 * 10**6, 4, 35_000).scaled(Fraction(1, 10**6))
     return [("decimal[80]", g), ("int[120]", gen_random(120, 0.25, 12, 4, 35_001))]
+
+
+def triangles(k: int) -> Graph:
+    """k disjoint triangles weighted (1, 1, 3): k violations, every top at deficit 1."""
+    return Graph(3 * k, [e for i in range(0, 3 * k, 3)
+                         for e in ((i, i + 1, 1), (i + 1, i + 2, 1), (i, i + 2, 3))])
+
+
+def many_violation_instances() -> list[tuple[str, Graph]]:
+    """3 instances where the greedy runs many rounds: k disjoint triangles at
+    k = 50 and 100, where all tops tie at one deficit, and n = 1000 at
+    average degree about 5 with 30 planted violations."""
+    return [("triangles[50]", triangles(50)), ("triangles[100]", triangles(100)),
+            ("int[1000]", gen_random(1000, 0.005, 10, 30, 1))]
 
 
 def small_instances() -> list[tuple[str, Graph]]:
@@ -150,11 +166,16 @@ def test_dense_outputs_match_golden_digests():
     assert_matches(DENSE_FIXTURE, pipeline_digests(dense_instances()))
 
 
+def test_many_violation_outputs_match_golden_digests():
+    assert_matches(MANY_FIXTURE, pipeline_digests(many_violation_instances()))
+
+
 if __name__ == "__main__":
     FIXTURE.parent.mkdir(exist_ok=True)
     for fixture, digests in ((FIXTURE, golden_digests()),
                              (LARGE_FIXTURE, pipeline_digests(large_instances())),
                              (SPARSE_FIXTURE, pipeline_digests(sparse_instances())),
-                             (DENSE_FIXTURE, pipeline_digests(dense_instances()))):
+                             (DENSE_FIXTURE, pipeline_digests(dense_instances())),
+                             (MANY_FIXTURE, pipeline_digests(many_violation_instances()))):
         fixture.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n",
                            encoding="utf-8")
