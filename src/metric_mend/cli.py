@@ -166,7 +166,7 @@ def run_pipeline(g: Graph, kind: ProblemKind, *, repair: bool) -> PipelineResult
             final, steps = outcome.graph, outcome.steps
     unresolved = () if final is None else tuple(sorted(
         e for e, w in final.edge_items() if w == 0))
-    unscaled = None if final is None else final.scaled(Fraction(1, scale))
+    unscaled = None if final is None else final.unscaled(scale)
     changed = {} if unscaled is None else {
         e: (w, unscaled.weight(*e)) for e, w in g.edge_items() if unscaled.weight(*e) != w}
     t2 = time.perf_counter()

@@ -164,7 +164,20 @@ class Graph:
         found there maps back exactly as ``Fraction(w, L)``.
         """
         scale = math.lcm(*(w.denominator for w in self._weights.values()))
-        return self.scaled(scale), scale
+        if scale == 1:
+            return self, 1
+        weights = {e: w.numerator * (scale // w.denominator) for e, w in self._weights.items()}
+        return Graph.__new__(Graph)._fill(self.n, weights), scale
+
+    def unscaled(self, scale: int) -> "Graph":
+        """Every weight w divided by the positive int ``scale`` (1: this
+        graph), as ``Fraction(w, scale)``: the way back from
+        :meth:`integer_scaled`."""
+        if scale == 1:
+            return self
+        weights = {e: q.numerator if (q := Fraction(w, scale)).denominator == 1 else q
+                   for e, w in self._weights.items()}
+        return Graph.__new__(Graph)._fill(self.n, weights)
 
     def has_zero_weight(self) -> bool:
         return any(w == 0 for w in self._weights.values())
@@ -194,8 +207,9 @@ def _parse_weight_token(token: str, line: int) -> Weight:
 
 #: Largest vertex count a file header may declare, so that a ten-byte header
 #: cannot ask for unbounded memory.  No stage builds an n x n table: the
-#: gmvd/gmvid greedy holds counted rows of n entries only at the endpoints of
-#: a round's tight tops, and every other search one Dijkstra row at a time.
+#: gmvd/gmvid greedy holds counted rows of n entries only at the lower
+#: endpoints of a round's tight tops, and every other search one Dijkstra row
+#: at a time.
 #: A row entry is an 8-byte pointer plus its own int, about 40 bytes, or
 #: Fraction, 80 bytes or more, on CPython 3.11 (measured at n = 300).
 MAX_VERTICES = 10_000
@@ -397,9 +411,11 @@ class DistanceTables:
     ``dist(u, v)`` is exact (INFINITY when unreachable); ``spcount(u, v)`` is
     the number of distinct shortest u-v paths as an unbounded integer, with
     the conventions spcount(v, v) = 1 and spcount = 0 for unreachable pairs.
-    Immutable after construction.  The greedy holds rows at its tight tops'
-    endpoints only; the full tables of :func:`all_pairs_shortest_paths` are a
-    public reference that the acceptance criteria check against.
+    A row made by :func:`shortest_path_counts` with a bound reads as
+    unreachable past it.  Immutable after construction.  The greedy holds
+    rows, bounded, at its tight tops' lower endpoints only; the full tables
+    of :func:`all_pairs_shortest_paths` are a public reference that the
+    acceptance criteria check against.
     """
 
     __slots__ = ("_rows",)
@@ -419,19 +435,39 @@ class DistanceTables:
         return self._rows.get(u)
 
 
-def shortest_path_counts(g: Graph, source: int) -> tuple[list, list[int]]:
-    """``(dist, count)``: an unbounded Dijkstra row from ``source`` and the
-    number of distinct shortest paths to each vertex.
+def shortest_path_counts(g: Graph, source: int,
+                         bound: Weight | float = INFINITY) -> tuple[list, list[int]]:
+    """``(dist, count)``: a Dijkstra row from ``source`` and the number of
+    distinct shortest paths to each vertex, for every vertex at distance at
+    most ``bound``; any other vertex reads INFINITY and 0.
 
-    Counts are summed in increasing distance over the neighbours that
-    realize the distance (a neighbour of a reached vertex is reached); this
-    recurrence needs strictly positive weights, which the caller checks.
+    A vertex is counted as Dijkstra settles it, from the neighbours that
+    realize its distance: with strictly positive weights, which the caller
+    checks, those were all settled before it.
     """
-    dist, _ = dijkstra(g, source)
-    count = [0] * g.n
-    count[source] = 1
-    for d, v in sorted((d, v) for v, d in enumerate(dist) if v != source and d != INFINITY):
-        count[v] = sum(count[x] for x, w in g.neighbors(v) if dist[x] + w == d)
+    n, adj = g.n, g._adj
+    dist: list = [INFINITY] * n
+    count = [0] * n  # nonzero once settled
+    dist[source] = 0
+    heap: list[tuple[Weight, int]] = [(0, source)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if count[u]:
+            continue
+        if d > bound:
+            heap.append((d, u))
+            break
+        # over settled neighbours only (INFINITY + w overflows for a huge int w);
+        # the source has no predecessor and counts 1
+        count[u] = sum(count[x] for x, w in adj[u] if count[x] and dist[x] + w == d) or 1
+        for v, w in adj[u]:
+            nd = d + w
+            if nd < dist[v]:
+                dist[v] = nd
+                heapq.heappush(heap, (nd, v))
+    for _, v in heap:  # tentative entries past the bound
+        if not count[v]:
+            dist[v] = INFINITY
     return dist, count
 
 
@@ -541,16 +577,28 @@ def find_uncovered_cycle(g: Graph, top_cover: Iterable[Edge],
 def _uncovered_cycle(g: Graph, a: frozenset[Edge], b: frozenset[Edge]) -> CycleWitness | None:
     """The search behind :func:`find_uncovered_cycle`, on checked edge sets."""
     h = g.without_edges(b) if b else g  # the graph searched; top weights stay g's
+    return _excess_scan(h, ((e, w) for e, w in g.edge_items() if e not in a))[0]
+
+
+def _excess_scan(h: Graph, tops: Iterable[tuple[Edge, Weight]]
+                 ) -> tuple[CycleWitness | None, list[Edge]]:
+    """``(witness, violated)`` over the sorted ``(edge, w)`` pairs, from one
+    :func:`edge_distances` pass in ``h``: a cycle closing the first edge of
+    largest excess w - d with its shortest path, or None when no edge is
+    violated, and every edge with d < w in order.
+    """
     deficit, top, parent = 0, None, None  # the first maximum so far, and its row
-    tops = ((e, w) for e, w in g.edge_items() if e not in a)
+    violated = []
     for e, w, d, row in edge_distances(h, tops):
-        if w - d > deficit:
-            deficit, top, parent = w - d, e, row
+        if d < w:
+            violated.append(e)
+            if w - d > deficit:
+                deficit, top, parent = w - d, e, row
     if top is None:
-        return None
+        return None, violated
     vertices = _path_from_parents(parent, *top)
     nontop = tuple(canonical_edge(x, y) for x, y in zip(vertices, vertices[1:]))
-    return CycleWitness(top=top, nontop=nontop, deficit=deficit)
+    return CycleWitness(top=top, nontop=nontop, deficit=deficit), violated
 
 
 def is_metric(g: Graph) -> bool:

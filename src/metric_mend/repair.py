@@ -14,14 +14,14 @@ an increase of a non-top edge stops at the shortest path between its
 endpoints that avoids the increase half or at the deficit, whichever comes
 first (one Dijkstra run, stopped where the deficit would take the edge), and
 a decrease of the top edge goes straight to balancing the witness cycle,
-which the split invariant makes safe (see `_apply_safe_move`).  The loop runs
-one cycle search per move and none to probe a move.
+which the split invariant makes safe (see `_apply_safe_move`).  After each
+move the loop rechecks only the edges that move can have left violated, and
+one whole-graph cycle search confirms the end; no move is probed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .core import (
@@ -33,6 +33,7 @@ from .core import (
     InternalConsistencyError,
     Weight,
     _check_edge_subset,
+    _excess_scan,
     canonical_edge,
     dijkstra,
     edge_distances,
@@ -119,6 +120,16 @@ def repair_weights(g: Graph, split: SplitCover) -> RepairOutcome:
     than driving the cover to the extremes.  Each move jumps as far as its
     limit allows, shifting one weight monotonically within (0, L] by at least
     one scaled unit, so the cover size times the scaled L bounds the moves.
+
+    Each pass asks only the edges that the last move can have left violated,
+    the first pass every edge; the witness is the first of largest excess,
+    the one a whole-graph search finds.  A raise of f only lengthens paths,
+    so it leaves violated at most the last pass's violated edges and f.  A
+    decrease sets the witness top t = (x, y) to w' >= d(x, y), the length of
+    the witness path P, and shortens no path: one through t is no shorter
+    with P in its place.  So it leaves violated at most the last pass's
+    violated edges.  When a pass finds none, one whole-graph search confirms
+    the graph metric.
     """
     s_plus, s_minus = split.s_plus, split.s_minus
     witness = find_uncovered_cycle(g, s_minus, s_plus)
@@ -129,37 +140,47 @@ def repair_weights(g: Graph, split: SplitCover) -> RepairOutcome:
     cap = max((w for _, w in work.edge_items()), default=0)  # no move may exceed this
     max_moves = (len(s_plus) + len(s_minus)) * cap + 1
     steps = 0
+    asked = work.edge_items()
+    h = work.without_edges(s_plus)  # G - S+: a raise leaves it as it is, a decrease not
 
     for _ in range(max_moves):
-        witness = find_uncovered_cycle(work, frozenset(), frozenset())
+        witness, violated = _excess_scan(work, asked)
         if witness is None:
+            if find_uncovered_cycle(work, (), ()) is not None:
+                raise InternalConsistencyError("the recheck missed a violated edge")
             break
-        moved = _apply_safe_move(work, witness, s_plus, s_minus)
-        if moved is None:
+        move = _apply_safe_move(work, witness, s_plus, s_minus, h)
+        if move is None:
             raise InternalConsistencyError(
                 f"no safe move on witness cycle {witness}")
-        work = moved
+        e, w = move
+        raised = w > work.weight(*e)
+        work = work.with_weight(e, w)
+        if raised:
+            violated = sorted({*violated, e})
+        else:
+            h = work.without_edges(s_plus)
+        asked = [(f, work.weight(*f)) for f in violated]
         steps += 1
     else:
         raise InternalConsistencyError("repair exceeded its move budget")
 
-    return RepairOutcome(graph=work.scaled(Fraction(1, factor)), steps=steps)
+    return RepairOutcome(graph=work.unscaled(factor), steps=steps)
 
 
 def _apply_safe_move(work: Graph, witness: CycleWitness, s_plus: frozenset[Edge],
-                     s_minus: frozenset[Edge]) -> Graph | None:
-    """One committed move on the witness cycle, or None if no candidate is safe."""
+                     s_minus: frozenset[Edge], h: Graph) -> tuple[Edge, Weight] | None:
+    """One move on the witness cycle, ``(edge, new weight)``, or None if no
+    candidate is safe; ``h`` is ``work`` without the increase half."""
     deficit = witness.deficit
-    raisable = sorted(set(witness.nontop) & s_plus)
-    h = work.without_edges(s_plus) if raisable else None
-    for f in raisable:
+    for f in sorted(set(witness.nontop) & s_plus):
         w_f = work.weight(*f)
         # raising f is safe up to the shortest f-endpoint path that avoids the
         # increase half entirely: only cycles topped by f can become unbalanced,
         # and those are escape cycles exactly when such a shorter path exists.
         [(_, _, limit, _)] = edge_distances(h, [(f, w_f + deficit)])
         if limit > w_f:
-            return work.with_weight(f, limit)
+            return f, limit
 
     t = witness.top
     if t in s_minus:
@@ -172,7 +193,7 @@ def _apply_safe_move(work: Graph, witness: CycleWitness, s_plus: frozenset[Edge]
         # half (hence t) stands in for g, giving d(x, y) <= |P| <= v; and since
         # d(a, b) >= w_f on entry, no such f exists.  The shortest-path limit
         # of a decrease therefore never binds before the deficit does.
-        return work.with_weight(t, work.weight(*t) - deficit)
+        return t, work.weight(*t) - deficit
     return None
 
 

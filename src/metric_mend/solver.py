@@ -3,7 +3,7 @@
 The solver repeatedly finds the current maximum cycle deficit from one
 distance per edge, counts for every edge how many maximum-deficit unbalanced
 cycles it lies on (as top and/or non-top edge, from the distances and path
-counts of the tight tops' endpoints alone; no n x n table), removes the edge
+counts of the tight tops' lower endpoints alone; no n x n table), removes the edge
 with the largest count from the working graph, and stops when no unbalanced
 cycle remains.  The removed edges form a regular cover (full variant) or a
 non-top cover (increase-only variant) of the original graph.
@@ -11,8 +11,10 @@ non-top cover (increase-only variant) of the original graph.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable
 
 from .core import (
     CoverKind,
@@ -119,6 +121,49 @@ def count_nontop(g: Graph, tables: DistanceTables, delta: Weight, edge: Edge) ->
     return total
 
 
+def _cycle_counts(g: Graph, tables: DistanceTables, delta: Weight,
+                  tops: Iterable[tuple[Edge, Weight]]) -> tuple[dict[Edge, int], dict[Edge, int]]:
+    """Sparse ``(n_top, n_nontop)`` over the deficit-``delta`` cycles topped
+    by the ``(edge, w)`` pairs ``tops``, delta the maximum deficit of ``g``.
+
+    At the maximum deficit a cycle topped by f = (a, b) closes f with a
+    shortest path, so only tight tops (w_f = d(a, b) + delta) have cycles,
+    and those are f plus a shortest a-b path: the row of a alone counts
+    them.  On its shortest-path DAG, walked back from b in decreasing
+    distance, tau[x] = sum of tau[y] over the successors y (tau[b] = 1)
+    counts the shortest x-b paths, and a DAG edge (x, y) lies on
+    count_a[x] * tau[y] of f's cycles: count_nontop's orientation term for
+    the direction x -> y, without a row from b.  A top whose lower endpoint
+    has no row is skipped; any other fails the tightness test, also on a
+    row bounded at or above w_f - delta.
+    """
+    n_top: dict[Edge, int] = {}
+    n_nontop: dict[Edge, int] = {}
+    for (a, b), w_f in tops:
+        if (row := tables.row(a)) is None:
+            continue
+        dist, count = row
+        rest = w_f - delta  # the length of the non-top path of f's cycles
+        if dist[b] != rest:
+            continue
+        n_top[(a, b)] = count[b]
+        # f itself is no DAG edge, since delta > 0
+        tau = {b: 1}
+        heap = [(-rest, b)]
+        while heap:
+            d, y = heapq.heappop(heap)
+            t_y = tau[y]
+            for x, w in g.neighbors(y):
+                if count[x] and dist[x] + w == -d:  # x reached: INFINITY + w can overflow
+                    if x not in tau:
+                        tau[x] = 0
+                        heapq.heappush(heap, (-dist[x], x))
+                    tau[x] += t_y
+                    e = canonical_edge(x, y)
+                    n_nontop[e] = n_nontop.get(e, 0) + count[x] * t_y
+    return n_top, n_nontop
+
+
 def count_report(g: Graph, tables: DistanceTables, delta: Weight,
                  kind: ProblemKind) -> dict[Edge, CountReport]:
     """Counts for every edge at the maximum deficit ``delta``; the greedy score
@@ -126,40 +171,18 @@ def count_report(g: Graph, tables: DistanceTables, delta: Weight,
     increase-only problem.
 
     The counts equal :func:`count_top` and :func:`count_nontop` edge by edge,
-    but are gathered from the tops.  At the maximum deficit a cycle topped by
-    f = (a, b) closes f with a shortest path, so only tight tops (w_f =
-    d(a, b) + delta) have cycles, and those are f plus a shortest a-b path.
-    Each tight top adds count_nontop's two orientation terms to every edge,
-    reading the a and b table rows once: O(tight tops * m) per call instead
-    of O(m^2).  Rows are needed only at tight tops' endpoints: a top whose
-    lower endpoint has no row is skipped, any other fails the tightness test.
+    but are gathered from the tight tops by the greedy's own accumulator,
+    which walks each tight top's shortest paths once: O(m) plus, per tight
+    top, the edges at its paths' vertices, instead of O(m^2).  Rows are
+    needed only at tight tops' lower endpoints, and may stop past the largest
+    w_f - delta among that endpoint's tops.
     """
     if delta <= 0:
         raise ValueError("counts are defined for positive deficit only")
-    edges = g.edge_items()
-    n_top = dict.fromkeys((e for e, _ in edges), 0)
-    n_nontop = dict.fromkeys(n_top, 0)
-    for (a, b), w_f in edges:
-        if (row_a := tables.row(a)) is None:
-            continue
-        dist_a, count_a = row_a
-        rest = w_f - delta  # the length of the non-top path of f's cycles
-        if dist_a[b] != rest:
-            continue
-        dist_b, count_b = tables.row(b)
-        n_top[(a, b)] = count_a[b]
-        # f itself satisfies neither equation, since delta > 0
-        for e, w_e in edges:
-            s, t = e
-            if dist_a[s] == INFINITY:  # e lies in another component than f
-                continue
-            if dist_a[s] + w_e + dist_b[t] == rest:
-                n_nontop[e] += count_a[s] * count_b[t]
-            if dist_b[s] + w_e + dist_a[t] == rest:
-                n_nontop[e] += count_b[s] * count_a[t]
+    n_top, n_nontop = _cycle_counts(g, tables, delta, g.edge_items())
     reports = {}
-    for e, top in n_top.items():
-        nontop = n_nontop[e]
+    for e in g.edges():
+        top, nontop = n_top.get(e, 0), n_nontop.get(e, 0)
         score = nontop if kind is ProblemKind.GMVID else top + nontop
         reports[e] = CountReport(edge=e, n_top=top, n_nontop=nontop, count=score)
     return reports
@@ -169,8 +192,9 @@ def greedy_solve(g: Graph, kind: ProblemKind) -> CoverSolution:
     """Greedy cover construction, one maximum-count edge per round.
 
     Each round takes the maximum deficit delta as the largest excess w - d
-    over the edges the last round found violated, counts every edge at delta
-    from the rows of the tight tops' (excess delta) endpoints, removes the
+    over the edges the last round found violated, counts the edges at delta
+    from one counted row per tight top's (excess delta) lower endpoint,
+    stopped past the longest shortest path those tops close, removes the
     argmax (ties: lexicographically smallest edge), and repeats until the
     deficit reaches zero.  The result is verified as a cover of the requested
     kind on the original graph.  Counting needs positive weights.
@@ -187,13 +211,19 @@ def greedy_solve(g: Graph, kind: ProblemKind) -> CoverSolution:
         if not excess:
             break
         delta = max(excess.values())
-        ends = {v for e, x in excess.items() if x == delta for v in e}  # of tight tops
-        tables = DistanceTables({v: shortest_path_counts(work, v) for v in ends})
+        tops = [(e, work.weight(*e)) for e, x in excess.items() if x == delta]
+        reach: dict[int, Weight] = {}  # lower endpoint -> its tops' longest rest
+        for (a, _), w in tops:
+            reach[a] = max(reach.get(a, 0), w - delta)
+        tables = DistanceTables({a: shortest_path_counts(work, a, r) for a, r in reach.items()})
         if not layers or delta != layers[-1]:
             layers.append(delta)
-        reports = count_report(work, tables, delta, kind)
-        best = max(work.edges(), key=lambda e: reports[e].count)  # first on ties
-        if reports[best].count == 0:
+        n_top, score = _cycle_counts(work, tables, delta, tops)
+        if kind is ProblemKind.GMVD:
+            for e, c in n_top.items():
+                score[e] = score.get(e, 0) + c
+        best = min(score, key=lambda e: (-score[e], e), default=None)  # first on ties
+        if best is None or score[best] == 0:
             raise InternalConsistencyError(
                 "positive deficit but all edge counts are zero")
         selected.append(best)

@@ -12,6 +12,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from metric_mend.core import (
     CoverKind,
     CycleWitness,
@@ -249,6 +251,21 @@ class CorpusEntry:
     name: str
     graph: Graph
     violations: int
+
+
+@st.composite
+def count_graphs(draw, max_n=8):
+    """Small graphs with int and Fraction weights, drawn from few values so
+    that path counts and edge counts tie; a split point makes them
+    disconnected when it falls inside the vertex range."""
+    n = draw(st.integers(3, max_n))
+    split = draw(st.integers(0, n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if (u < split) == (v < split)]
+    chosen = [pair for pair in pairs if draw(st.booleans())]
+    halves = st.sampled_from([Fraction(1, 2), Fraction(3, 2), Fraction(9, 2)])
+    weights = draw(st.lists(st.one_of(st.integers(1, 6), halves),
+                            min_size=len(chosen), max_size=len(chosen)))
+    return Graph(n, [(u, v, w) for (u, v), w in zip(chosen, weights)])
 
 
 def rational_instance(n: int, violations: int, seed: int, density: float = 0.7) -> Graph:

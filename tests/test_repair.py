@@ -2,14 +2,17 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from metric_mend import repair
 from metric_mend.core import (
     CoverKind,
     Graph,
     InternalConsistencyError,
+    dijkstra,
     find_uncovered_cycle,
     is_metric,
     validate_cover,
@@ -121,6 +124,11 @@ class TestRepairWeights:
         assert helpers.changed(g, out.graph) == {}
         assert out.graph == g
 
+    def test_a_missed_violation_is_an_internal_error(self, monkeypatch, k3):
+        monkeypatch.setattr(repair, "_excess_scan", lambda h, tops: (None, []))
+        with pytest.raises(InternalConsistencyError, match="recheck missed"):
+            repair_weights(k3, helpers.increase_only([(0, 1)]))
+
     def test_rejects_invalid_cover(self, k3):
         with pytest.raises(CoverInvalidError):
             repair_weights(k3, helpers.increase_only([(0, 2)]))
@@ -129,18 +137,18 @@ class TestRepairWeights:
         original = repair._apply_safe_move
         decreases = blocked = 0
 
-        def checked(work, witness, s_plus, s_minus):
+        def checked(work, witness, s_plus, s_minus, h):
             nonlocal decreases, blocked
-            moved = original(work, witness, s_plus, s_minus)
-            assert moved is None or not moved.has_zero_weight()  # repair never makes a 0
+            move = original(work, witness, s_plus, s_minus, h)
+            assert move is None or move[1] > 0  # repair never makes a 0
             t = witness.top
-            if t in s_minus and (moved is None or moved.weight(*t) != work.weight(*t)):
+            if t in s_minus and (move is None or move[0] == t):
                 expected = helpers.smallest_safe_decrease(work, t, witness.deficit,
                                                           s_plus, s_minus)
-                assert (None if moved is None else moved.weight(*t)) == expected
+                assert (None if move is None else move[1]) == expected
                 decreases += 1
                 blocked += bool(set(witness.nontop) & s_plus)  # no increase was open
-            return moved
+            return move
 
         monkeypatch.setattr(repair, "_apply_safe_move", checked)
         rng = random.Random(61)
@@ -187,6 +195,31 @@ class TestRepairWeights:
             assert all(new <= cap for _, new in changed.values())
 
 
+@settings(max_examples=150, deadline=None)
+@given(helpers.count_graphs(), st.sampled_from([ProblemKind.GMVD, ProblemKind.GMVID]))
+def test_each_move_gets_the_whole_graph_witness(g, kind):
+    """Every move's witness, found among the edges the last move can have
+    left violated, is the one a whole-graph search finds; a decrease changes
+    no distance."""
+    original = repair._apply_safe_move
+    moves = []
+
+    def checked(work, witness, s_plus, s_minus, h):
+        assert witness == find_uncovered_cycle(work, (), ())
+        moves.append(witness)
+        move = original(work, witness, s_plus, s_minus, h)
+        if move is not None and move[1] < work.weight(*move[0]):
+            after = work.with_weight(*move)
+            assert all(dijkstra(work, s)[0] == dijkstra(after, s)[0] for s in range(g.n))
+        return move
+
+    cover = greedy_solve(g, kind).edges
+    split = split_cover(g, cover) if kind is ProblemKind.GMVD else helpers.increase_only(cover)
+    with mock.patch.object(repair, "_apply_safe_move", checked):
+        out = repair_weights(g, split)
+    assert len(moves) == out.steps and is_metric(out.graph)
+
+
 def unit_step_repair(monkeypatch, g, split):
     """``repair_weights`` with every move cut to one scaled unit.
 
@@ -196,13 +229,13 @@ def unit_step_repair(monkeypatch, g, split):
     """
     original = repair._apply_safe_move
 
-    def one_unit(work, witness, s_plus, s_minus):
-        moved = original(work, witness, s_plus, s_minus)
-        if moved is None:
+    def one_unit(work, witness, s_plus, s_minus, h):
+        move = original(work, witness, s_plus, s_minus, h)
+        if move is None:
             return None
-        (e, w), = [(e, w) for e, w in moved.edge_items() if w != work.weight(*e)]
+        e, w = move
         old = work.weight(*e)
-        return work.with_weight(e, old + 1 if w > old else old - 1)
+        return e, old + 1 if w > old else old - 1
 
     with monkeypatch.context() as m:
         m.setattr(repair, "_apply_safe_move", one_unit)

@@ -251,23 +251,6 @@ class TestCoverSolution:
                           layer_deficits=(Fraction(1), Fraction(2)))
 
 
-def _count_graphs(draw, max_n=8):
-    """Small graphs with int and Fraction weights, drawn from few values so
-    that path counts and edge counts tie; a split point makes them
-    disconnected when it falls inside the vertex range."""
-    n = draw(st.integers(3, max_n))
-    split = draw(st.integers(0, n))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if (u < split) == (v < split)]
-    chosen = [pair for pair in pairs if draw(st.booleans())]
-    halves = st.sampled_from([Fraction(1, 2), Fraction(3, 2), Fraction(9, 2)])
-    weights = draw(st.lists(st.one_of(st.integers(1, 6), halves),
-                            min_size=len(chosen), max_size=len(chosen)))
-    return Graph(n, [(u, v, w) for (u, v), w in zip(chosen, weights)])
-
-
-count_graphs = st.composite(_count_graphs)
-
-
 def _replay(g: Graph, kind: ProblemKind) -> CoverSolution:
     """The greedy from full tables: graph_deficit, count_report, argmax."""
     work, edges, layers = g, [], []
@@ -283,28 +266,36 @@ def _replay(g: Graph, kind: ProblemKind) -> CoverSolution:
 
 
 @settings(max_examples=150, deadline=None)
-@given(count_graphs(), st.sampled_from([ProblemKind.GMVD, ProblemKind.GMVID]))
+@given(helpers.count_graphs(), st.sampled_from([ProblemKind.GMVD, ProblemKind.GMVID]))
 def test_greedy_matches_full_table_replay(g, kind):
     assert greedy_solve(g, kind) == _replay(g, kind)
 
 
 @settings(max_examples=150, deadline=None)
-@given(count_graphs(), st.sampled_from([ProblemKind.GMVD, ProblemKind.GMVID]), st.data())
+@given(helpers.count_graphs(), st.sampled_from([ProblemKind.GMVD, ProblemKind.GMVID]), st.data())
 def test_count_report_needs_rows_only_at_tight_tops(g, kind, data):
     full = all_pairs_shortest_paths(g)
     delta = graph_deficit(g, full)
     if delta == 0:
         return
-    ends = {v for (a, b), w in g.edge_items() if w - full.dist(a, b) == delta for v in (a, b)}
-    # rows at further vertices change nothing either
+    tops = [((a, b), w) for (a, b), w in g.edge_items() if w - full.dist(a, b) == delta]
+    reach = {}  # lower endpoint -> the longest rest w - delta among its tops
+    for (a, _), w in tops:
+        reach[a] = max(reach.get(a, 0), w - delta)
+    expected = count_report(g, full, delta, kind)
+    # rows at both endpoints or at further vertices change nothing either
     extra = data.draw(st.sets(st.integers(0, g.n - 1)))
-    for sources in (ends, ends | extra):
+    for sources in (reach, {v for e, _ in tops for v in e}, reach.keys() | extra):
         partial = DistanceTables({v: shortest_path_counts(g, v) for v in sources})
-        assert count_report(g, partial, delta, kind) == count_report(g, full, delta, kind)
+        assert count_report(g, partial, delta, kind) == expected
+    # nor do rows that stop past their tops' longest rest, or further out
+    slack = data.draw(st.sampled_from([0, Fraction(1, 2), 1, 100]))
+    bounded = DistanceTables({a: shortest_path_counts(g, a, r + slack) for a, r in reach.items()})
+    assert count_report(g, bounded, delta, kind) == expected
 
 
 @settings(max_examples=150, deadline=None)
-@given(count_graphs(), st.sampled_from([ProblemKind.GMVD, ProblemKind.GMVID]))
+@given(helpers.count_graphs(), st.sampled_from([ProblemKind.GMVD, ProblemKind.GMVID]))
 def test_each_round_asks_enough_edges(g, kind):
     """Every round's excess map, asked of the last round's violated edges
     only, equals a full pass over the working graph's edges."""
