@@ -33,6 +33,7 @@ from .core import (
     parse_cover,
     parse_instance,
     serialize_instance,
+    text_lines,
     validate_cover,
 )
 from .oracle import (
@@ -61,7 +62,7 @@ def _read_text(path: str) -> str:
     except UnicodeDecodeError as exc:
         before = data[:exc.start].decode("utf-8")
         raise InstanceFormatError(f"byte 0x{data[exc.start]:02x} is not UTF-8 text",
-                                  len((before + "x").splitlines())) from None
+                                  len(text_lines(before + "x"))) from None
 
 
 def _emit(report: dict, fmt: str) -> None:
@@ -376,6 +377,7 @@ def cmd_bench(args) -> int:
     if args.trials < 0:
         raise InstanceFormatError(f"trials must be nonnegative, got {args.trials}")
     kind = ProblemKind(args.kind)
+    budget = WorkBudget(args.oracle_budget)  # a bad budget fails before any trial runs
     trials = []
     for i in range(args.trials):
         trial_seed = args.seed * 100_003 + i
@@ -395,8 +397,9 @@ def cmd_bench(args) -> int:
         if args.repair:
             row["repair_s"] = result.timings["repair_s"]
             row["repair_metric"] = result.verdicts["repaired_metric"]
+        budget.used = 0  # each trial's oracle gets the whole budget
         try:
-            opt = exact_min_cover(g, kind.cover_kind, budget=WorkBudget(args.oracle_budget))
+            opt = exact_min_cover(g, kind.cover_kind, budget=budget)
             row["opt"] = opt.size
             row["ratio"] = (len(result.cover) / opt.size) if opt.size else 1.0
         except BudgetExceededError:

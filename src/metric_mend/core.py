@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+import io
 import math
 import sys
 from contextlib import contextmanager
@@ -209,11 +210,18 @@ def _parse_weight_token(token: str, line: int) -> Weight:
 #: cannot ask for unbounded memory.  No stage builds an n x n table: the
 #: gmvd/gmvid greedy holds counted rows of n entries only at the lower
 #: endpoints of a round's tight tops, and every other search one Dijkstra row
-#: at a time.
+#: (``dist`` plus the settle ``order``, no parent or done list) at a time.
 #: A row entry is an 8-byte pointer plus its own int, about 40 bytes, or
 #: Fraction, 80 bytes or more, on CPython 3.11 (measured at n = 300).
 MAX_VERTICES = 10_000
 _pow10 = functools.cache((10).__pow__)
+
+
+def text_lines(text: str) -> list[str]:
+    """The one rule for counting lines: as Python's text files read them,
+    ended by ``\\n``, ``\\r\\n`` or a lone ``\\r`` only (so a form feed or
+    U+2028 is blank space inside its line)."""
+    return io.StringIO(text, newline=None).readlines()
 
 
 class LineReader:
@@ -228,7 +236,7 @@ class LineReader:
     """
 
     def __init__(self, text: str):
-        raw_lines = text.splitlines()
+        raw_lines = text_lines(text)
         self._rows = ((lineno, tokens) for lineno, raw in enumerate(raw_lines, start=1)
                       if (tokens := raw.split("#", 1)[0].split()))
         self._eof = len(raw_lines) + 1
@@ -356,51 +364,55 @@ def serialize_instance(g: Graph) -> str:
 # Shortest paths
 
 
-def dijkstra(g: Graph, source: int, bound: Weight | float = INFINITY) -> tuple[list, list]:
+def dijkstra(g: Graph, source: int, bound: Weight | float = INFINITY) -> tuple[list, list[int]]:
     """Single-source shortest paths with exact weights over every edge of
     ``g``; a search that must avoid an edge set S runs on ``g.without_edges(S)``.
 
-    Returns (dist, parent), a deterministic shortest-path tree: ties are
-    resolved by heap order on (distance, vertex id) and updates happen on
-    strict improvement only.  The search stops once the next distance it
-    would settle reaches ``bound``.  A distance below ``bound`` is exact
-    (ints when every weight is an int) and its parent is a tree edge, the
-    same distance and parent an unbounded run gives.  Any other entry is
-    INFINITY or a tentative value ``>= bound`` whose parent is not a tree
-    edge; :func:`edge_distances` is the one reader of a bounded row, and it
-    caps each entry at its edge's weight before any caller sees it.
+    Returns ``(dist, order)``: ``order`` holds the vertices at distance below
+    the exclusive ``bound``, in settle order, which is heap order on
+    (distance, vertex id).  Every push strictly improves a distance, so a
+    stale heap entry has d > dist[u].  The one rule for a bounded row:
+    distances are exact (ints when every weight is an int) below the bound,
+    and also at it on positive weights, since every tight predecessor was
+    settled; any other entry is INFINITY or tentative, above the true
+    distance.  Path counts and paths read from ``order``
+    (:func:`shortest_path_counts`, :func:`_path_from_row`) are exact below
+    the bound and 0 or absent elsewhere.
     """
-    n = g.n
+    n, adj = g.n, g._adj
     dist: list = [INFINITY] * n
-    parent: list = [None] * n
-    done = [False] * n
     dist[source] = 0
+    order: list[int] = []
     heap: list[tuple[Weight, int]] = [(0, source)]
     while heap:
         d, u = heapq.heappop(heap)
         if d >= bound:
             break
-        if done[u]:
+        if d > dist[u]:
             continue
-        done[u] = True
-        for v, w in g.neighbors(u):
-            if done[v]:
-                continue
+        order.append(u)
+        for v, w in adj[u]:
             nd = d + w
             if nd < dist[v]:
                 dist[v] = nd
-                parent[v] = u
                 heapq.heappush(heap, (nd, v))
-    return dist, parent
+    return dist, order
 
 
-def _path_from_parents(parent: list, source: int, target: int) -> list[int]:
+def _path_from_row(g: Graph, row: tuple[list, list[int]], target: int) -> list[int]:
+    """The path from the source of a :func:`dijkstra` row of ``g`` to the
+    settled ``target``, walked back: a vertex's predecessor is its
+    earliest-settled neighbour u with dist[u] + w equal to its distance.
+    That u reached the distance first, so it is the parent a
+    parent-recording run keeps, zero weights included."""
+    dist, order = row
+    rank = {v: i for i, v in enumerate(order)}
     path = [target]
-    while path[-1] != source:
-        prev = parent[path[-1]]
-        if prev is None:
-            raise InternalConsistencyError(f"no parent chain from {target} to {source}")
-        path.append(prev)
+    while (v := path[-1]) != order[0]:
+        tight = [rank[u] for u, w in g.neighbors(v) if u in rank and dist[u] + w == dist[v]]
+        if not tight:
+            raise InternalConsistencyError(f"no shortest path from {order[0]} to {target}")
+        path.append(order[min(tight)])
     path.reverse()
     return path
 
@@ -411,8 +423,8 @@ class DistanceTables:
     ``dist(u, v)`` is exact (INFINITY when unreachable); ``spcount(u, v)`` is
     the number of distinct shortest u-v paths as an unbounded integer, with
     the conventions spcount(v, v) = 1 and spcount = 0 for unreachable pairs.
-    A row made by :func:`shortest_path_counts` with a bound reads as
-    unreachable past it.  Immutable after construction.  The greedy holds
+    A row made by :func:`shortest_path_counts` with a bound follows
+    :func:`dijkstra`'s rule for bounded rows.  Immutable after construction.  The greedy holds
     rows, bounded, at its tight tops' lower endpoints only; the full tables
     of :func:`all_pairs_shortest_paths` are a public reference that the
     acceptance criteria check against.
@@ -437,37 +449,19 @@ class DistanceTables:
 
 def shortest_path_counts(g: Graph, source: int,
                          bound: Weight | float = INFINITY) -> tuple[list, list[int]]:
-    """``(dist, count)``: a Dijkstra row from ``source`` and the number of
-    distinct shortest paths to each vertex, for every vertex at distance at
-    most ``bound``; any other vertex reads INFINITY and 0.
+    """``(dist, count)``: the :func:`dijkstra` row from ``source`` and the
+    number of distinct shortest paths to each vertex it settled, 0 for any
+    other, so counts are exact below ``bound`` and 0 elsewhere.
 
-    A vertex is counted as Dijkstra settles it, from the neighbours that
-    realize its distance: with strictly positive weights, which the caller
-    checks, those were all settled before it.
+    One pass over the settle order counts each vertex from the neighbours
+    that realize its distance: with strictly positive weights, which the
+    caller checks, those were all settled before it.
     """
-    n, adj = g.n, g._adj
-    dist: list = [INFINITY] * n
-    count = [0] * n  # nonzero once settled
-    dist[source] = 0
-    heap: list[tuple[Weight, int]] = [(0, source)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if count[u]:
-            continue
-        if d > bound:
-            heap.append((d, u))
-            break
-        # over settled neighbours only (INFINITY + w overflows for a huge int w);
-        # the source has no predecessor and counts 1
-        count[u] = sum(count[x] for x, w in adj[u] if count[x] and dist[x] + w == d) or 1
-        for v, w in adj[u]:
-            nd = d + w
-            if nd < dist[v]:
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    for _, v in heap:  # tentative entries past the bound
-        if not count[v]:
-            dist[v] = INFINITY
+    dist, order = dijkstra(g, source, bound)
+    count = [0] * g.n  # nonzero once counted
+    for u in order:  # over counted neighbours only: INFINITY + w overflows for a huge int w
+        d = dist[u]  # the source has no predecessor and counts 1
+        count[u] = sum(count[x] for x, w in g._adj[u] if count[x] and dist[x] + w == d) or 1
     return dist, count
 
 
@@ -480,10 +474,11 @@ def all_pairs_shortest_paths(g: Graph) -> DistanceTables:
 
 
 def edge_distances(h: Graph, edges: Iterable[tuple[Edge, Weight]]) -> Iterator[tuple]:
-    """``(edge, w, d, parent row of u)`` for each of the sorted ``(edge, w)``
-    pairs, with d = min(d(u, v) in ``h``, w): exact, so ``w - d`` is the
-    edge's excess, 0 when the edge is not violated.  When d < w the parent
-    row holds a shortest u-v path.
+    """``(edge, w, d, row of u)`` for each of the sorted ``(edge, w)`` pairs,
+    with d = min(d(u, v) in ``h``, w): exact, so ``w - d`` is the edge's
+    excess, 0 when the edge is not violated.  The row is u's ``(dist,
+    order)`` from :func:`dijkstra`; when d < w it settled v, and
+    :func:`_path_from_row` reads a shortest u-v path from it.
 
     One Dijkstra run in ``h`` per distinct lower endpoint u, stopped at the
     largest weight among u's listed edges, and only one row held at a time:
@@ -493,11 +488,11 @@ def edge_distances(h: Graph, edges: Iterable[tuple[Edge, Weight]]) -> Iterator[t
     edges of ``h``.
     """
     for u, group in groupby(edges, key=lambda item: item[0][0]):
-        row = list(group)
-        dist, parent = dijkstra(h, u, max(w for _, w in row))
-        for (_, v), w in row:
-            d = dist[v]
-            yield (u, v), w, d if d < w else w, parent
+        items = list(group)
+        row = dijkstra(h, u, max(w for _, w in items))
+        for (_, v), w in items:
+            d = row[0][v]
+            yield (u, v), w, d if d < w else w, row
 
 
 # ---------------------------------------------------------------------------
@@ -587,16 +582,16 @@ def _excess_scan(h: Graph, tops: Iterable[tuple[Edge, Weight]]
     largest excess w - d with its shortest path, or None when no edge is
     violated, and every edge with d < w in order.
     """
-    deficit, top, parent = 0, None, None  # the first maximum so far, and its row
+    deficit, top, best = 0, None, None  # the first maximum so far, and its row
     violated = []
     for e, w, d, row in edge_distances(h, tops):
         if d < w:
             violated.append(e)
             if w - d > deficit:
-                deficit, top, parent = w - d, e, row
+                deficit, top, best = w - d, e, row
     if top is None:
         return None, violated
-    vertices = _path_from_parents(parent, *top)
+    vertices = _path_from_row(h, best, top[1])
     nontop = tuple(canonical_edge(x, y) for x, y in zip(vertices, vertices[1:]))
     return CycleWitness(top=top, nontop=nontop, deficit=deficit), violated
 

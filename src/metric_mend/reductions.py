@@ -213,8 +213,7 @@ def gen_random(n: int, density: float, weight_max: int, violations: int,
         for e in rng.sample(sorted(work.edges()), violations):
             w = work.weight(*e)
             if rng.random() < 0.5:
-                dist, _ = dijkstra(work.without_edges([e]), e[0])
-                alt = dist[e[1]]
+                alt = dijkstra(work.without_edges([e]), e[0])[0][e[1]]
                 bump = rng.randint(1, weight_max)
                 work = work.with_weight(e, (alt if alt != INFINITY else w) + bump)
             elif w > 1:

@@ -224,8 +224,7 @@ def lift_zero_edges(g: Graph) -> LiftResult:
         for e in work.edges():
             if work.weight(*e) != 0:
                 continue
-            dist, _ = dijkstra(work.without_edges([e]), e[0])
-            alt = dist[e[1]]
+            alt = dijkstra(work.without_edges([e]), e[0])[0][e[1]]
             if alt != INFINITY and alt > 0:
                 work = work.with_weight(e, alt)
                 lifted[e] = alt

@@ -133,9 +133,12 @@ def _cycle_counts(g: Graph, tables: DistanceTables, delta: Weight,
     distance, tau[x] = sum of tau[y] over the successors y (tau[b] = 1)
     counts the shortest x-b paths, and a DAG edge (x, y) lies on
     count_a[x] * tau[y] of f's cycles: count_nontop's orientation term for
-    the direction x -> y, without a row from b.  A top whose lower endpoint
-    has no row is skipped; any other fails the tightness test, also on a
-    row bounded at or above w_f - delta.
+    the direction x -> y, without a row from b.  The walk ends at a, where
+    tau[a] counts the shortest a-b paths: n_top of f, read without count_a[b].
+    So a row bounded at w_f - delta serves (it counts only below its bound,
+    and its distance at the bound is exact on positive weights).  A top
+    whose lower endpoint has no row is skipped; any other non-tight top
+    fails the tightness test.
     """
     n_top: dict[Edge, int] = {}
     n_nontop: dict[Edge, int] = {}
@@ -146,7 +149,6 @@ def _cycle_counts(g: Graph, tables: DistanceTables, delta: Weight,
         rest = w_f - delta  # the length of the non-top path of f's cycles
         if dist[b] != rest:
             continue
-        n_top[(a, b)] = count[b]
         # f itself is no DAG edge, since delta > 0
         tau = {b: 1}
         heap = [(-rest, b)]
@@ -161,6 +163,7 @@ def _cycle_counts(g: Graph, tables: DistanceTables, delta: Weight,
                     tau[x] += t_y
                     e = canonical_edge(x, y)
                     n_nontop[e] = n_nontop.get(e, 0) + count[x] * t_y
+        n_top[(a, b)] = tau[a]
     return n_top, n_nontop
 
 
@@ -174,8 +177,8 @@ def count_report(g: Graph, tables: DistanceTables, delta: Weight,
     but are gathered from the tight tops by the greedy's own accumulator,
     which walks each tight top's shortest paths once: O(m) plus, per tight
     top, the edges at its paths' vertices, instead of O(m^2).  Rows are
-    needed only at tight tops' lower endpoints, and may stop past the largest
-    w_f - delta among that endpoint's tops.
+    needed only at tight tops' lower endpoints, and may be bounded at the
+    largest w_f - delta among that endpoint's tops.
     """
     if delta <= 0:
         raise ValueError("counts are defined for positive deficit only")
@@ -194,7 +197,7 @@ def greedy_solve(g: Graph, kind: ProblemKind) -> CoverSolution:
     Each round takes the maximum deficit delta as the largest excess w - d
     over the edges the last round found violated, counts the edges at delta
     from one counted row per tight top's (excess delta) lower endpoint,
-    stopped past the longest shortest path those tops close, removes the
+    bounded at the longest shortest path those tops close, removes the
     argmax (ties: lexicographically smallest edge), and repeats until the
     deficit reaches zero.  The result is verified as a cover of the requested
     kind on the original graph.  Counting needs positive weights.

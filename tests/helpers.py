@@ -7,6 +7,7 @@ to the same answers.
 
 from __future__ import annotations
 
+import heapq
 import random
 import re
 from dataclasses import dataclass
@@ -20,6 +21,7 @@ from metric_mend.core import (
     Graph,
     INFINITY,
     InternalConsistencyError,
+    Weight,
     all_pairs_shortest_paths,
     canonical_edge,
     dijkstra,
@@ -88,6 +90,50 @@ def brute_shortest_path_counts(g: Graph) -> tuple[list[list], list[list[int]]]:
             if best[s][t] is None:
                 best[s][t] = INFINITY
     return best, count
+
+
+def parent_dijkstra(g: Graph, source: int, bound: Weight | float = INFINITY) -> tuple[list, list]:
+    """A Dijkstra run that records each vertex's parent: the reference the
+    library's path reader (``core._path_from_row``) must agree with.
+
+    Returns (dist, parent), a deterministic shortest-path tree: ties are
+    resolved by heap order on (distance, vertex id) and updates happen on
+    strict improvement only.  The search stops once the next distance it
+    would settle reaches ``bound``.  A distance below ``bound`` is exact and
+    its parent is a tree edge, the same distance and parent an unbounded run
+    gives.
+    """
+    n = g.n
+    dist: list = [INFINITY] * n
+    parent: list = [None] * n
+    done = [False] * n
+    dist[source] = 0
+    heap: list[tuple[Weight, int]] = [(0, source)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d >= bound:
+            break
+        if done[u]:
+            continue
+        done[u] = True
+        for v, w in g.neighbors(u):
+            if done[v]:
+                continue
+            nd = d + w
+            if nd < dist[v]:
+                dist[v] = nd
+                parent[v] = u
+                heapq.heappush(heap, (nd, v))
+    return dist, parent
+
+
+def parent_path(parent: list, source: int, target: int) -> list[int]:
+    """The tree path from ``source`` to ``target`` in a :func:`parent_dijkstra` row."""
+    path = [target]
+    while path[-1] != source:
+        path.append(parent[path[-1]])
+    path.reverse()
+    return path
 
 
 def smallest_safe_decrease(work: Graph, t, deficit, s_plus, s_minus):

@@ -287,6 +287,15 @@ class TestBench:
         assert captured.out == ""
         assert "trials must be nonnegative, got -3" in captured.err
 
+    def test_negative_budget_exits_2_before_any_trial(self, capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("bench generated an instance")
+        monkeypatch.setattr(metric_mend.cli.reductions, "gen_random", no_work)
+        assert main(["bench", "--trials", "1", "--oracle-budget", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "work budget must be nonnegative, got -1" in captured.err
+
     def test_same_seed_same_report_modulo_timings(self, capsys):
         def strip(rep):
             for row in rep["trials"]:
@@ -394,7 +403,8 @@ class TestOracleBudget:
         ["oracle", "K3", "--oracle-budget", "-1"],
         ["reduce", "gmvid2gmvd", "K3", "--out", "OUT", "--oracle-budget", "-1"],
         ["bench", "--n", "5", "--trials", "1", "--oracle-budget", "-1"],
-    ], ids=["oracle", "reduce", "bench"])
+        ["bench", "--trials", "0", "--oracle-budget", "-5"],
+    ], ids=["oracle", "reduce", "bench", "bench-no-trials"])
     def test_negative_budget_is_input_error(self, capsys, tmp_path, k3_file, argv):
         argv = [k3_file if a == "K3" else str(tmp_path / "o.txt") if a == "OUT" else a
                 for a in argv]
@@ -419,10 +429,20 @@ class TestOracleBudget:
     (["check", "{a}", "{b}"], {"a": "3 3\n0 1 1\n1 2 1\n0 2 5\n", "b": b"0 2\r\n\xff\r\n"}, 2),
     (["reduce", "multicut", "{a}", "--out", "{out}"], {"a": b"\xfe3 2\n0 1\n"}, 1),
     (["oracle", "{a}"], {"a": "3 3\n0 1 1\n1 2 1\n# \u00e9\n0 2 5\n".encode("latin-1")}, 4),
+    # only \n, \r\n and a lone \r end a line; a form feed or U+2028 does not
+    (["solve", "{a}"], {"a": "3 3\n0 1 1\x0c\n1 2 1\n0 2 x\n"}, 4),
+    (["solve", "{a}"], {"a": "3 3\n0 1 1\u2028\n1 2 1\n0 2 1\x85 x\n"}, 4),
+    (["solve", "{a}"], {"a": "3 3\n0 1 1\x0c\n1 2 1\n"}, 4),
+    (["solve", "{a}"], {"a": "3 2\n0 1 1\x0c\n1 2 1\n0 2 1\n"}, 4),
+    (["solve", "{a}"], {"a": b"3 3\n0 1 1\x0c\n1 2 1\n0 2 \xff\n"}, 4),
+    (["check", "{a}", "{b}"], {"a": "3 3\n0 1 1\n1 2 1\n0 2 5\n", "b": "0 2\x1e\n1 5\n"}, 2),
+    (["solve", "{a}"], {"a": "3 3\r0 1 1\r\n1 2 1\r0 2 x\r"}, 4),
 ], ids=["vertex-cap", "no-vertices", "multicut-negative-m", "lbcut-negative-m",
         "demand-count", "demand-token", "demand-on-edge", "lb-token", "lb-on-edge",
         "cover-non-edge", "instance-not-utf8", "cover-not-utf8", "source-not-utf8",
-        "oracle-not-utf8"])
+        "oracle-not-utf8", "weight-after-form-feed", "token-after-line-separator",
+        "eof-after-form-feed", "trailing-after-form-feed", "byte-after-form-feed",
+        "cover-after-record-separator", "lone-cr-lines"])
 def test_file_errors_exit_2_with_line(capsys, tmp_path, argv, files, line):
     paths = {"out": str(tmp_path / "out.txt")}
     for name, text in files.items():

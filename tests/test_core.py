@@ -158,8 +158,11 @@ class TestShortestPaths:
             for s in range(g.n):
                 for bound in sorted({d for d in best[s] if d != INFINITY}):
                     dist, cnt = shortest_path_counts(g, s, bound)
-                    assert dist == [d if d <= bound else INFINITY for d in best[s]]
-                    assert cnt == [c if d <= bound else 0 for d, c in zip(best[s], count[s])]
+                    # exact below the bound and, on positive weights, at it;
+                    # past it INFINITY or a tentative value above the distance
+                    for d, b in zip(dist, best[s]):
+                        assert d == b if b <= bound else d >= b
+                    assert cnt == [c if d < bound else 0 for d, c in zip(best[s], count[s])]
 
     def test_tables_are_a_metric(self):
         g = helpers.rational_instance(n=7, violations=2, seed=77)
@@ -318,16 +321,31 @@ bounds = st.one_of(st.just(0), st.just(INFINITY), st.integers(0, 20),
 @given(zero_graphs(), st.data())
 def test_bounded_dijkstra_is_exact_below_its_bound(g, data):
     source = data.draw(st.integers(0, g.n - 1))
-    full_dist, full_parent = dijkstra(g, source)
+    full_dist, full_parent = helpers.parent_dijkstra(g, source)
     # half the bounds are distances of this run, so ties with the bound occur
     reached = sorted({d for d in full_dist if d != INFINITY})
     bound = data.draw(st.one_of(bounds, st.sampled_from(reached)))
-    dist, parent = dijkstra(g, source, bound)
+    row = dijkstra(g, source, bound)
+    dist, order = row
+    assert sorted(order) == [v for v in range(g.n) if full_dist[v] < bound]
     for v in range(g.n):
         if full_dist[v] < bound:
-            assert (dist[v], parent[v]) == (full_dist[v], full_parent[v])
+            assert dist[v] == full_dist[v]
+            assert core._path_from_row(g, row, v) == helpers.parent_path(full_parent, source, v)
         else:
             assert dist[v] >= bound
+
+
+@settings(max_examples=150, deadline=None)
+@given(helpers.count_graphs(), st.data())
+def test_dijkstra_settles_by_distance_then_id(g, data):
+    """On positive weights every vertex at distance d is in the heap before
+    the first one at d is settled, so the settle order is sorted."""
+    source = data.draw(st.integers(0, g.n - 1))
+    bound = data.draw(bounds)
+    dist, order = dijkstra(g, source, bound)
+    assert order == sorted((v for v in range(g.n) if dist[v] < bound),
+                           key=lambda v: (dist[v], v))
 
 
 @settings(max_examples=100, deadline=None)
@@ -335,11 +353,11 @@ def test_bounded_dijkstra_is_exact_below_its_bound(g, data):
 def test_edge_distances_answer_d_below_w_exactly(g):
     rows = list(edge_distances(g, g.edge_items()))
     assert [(e, w) for e, w, _, _ in rows] == g.edge_items()
-    for (u, v), w, d, parent in rows:
-        full_dist, full_parent = dijkstra(g, u)
+    for (u, v), w, d, row in rows:
+        full_dist, full_parent = helpers.parent_dijkstra(g, u)
         assert d == min(full_dist[v], w)  # exact, never INFINITY or tentative
         if d < w:
-            assert parent[v] == full_parent[v]
+            assert core._path_from_row(g, row, v) == helpers.parent_path(full_parent, u, v)
 
 
 def test_edge_distances_with_an_all_zero_row():
@@ -349,8 +367,9 @@ def test_edge_distances_with_an_all_zero_row():
     rows = list(edge_distances(g, g.edge_items()))
     assert [e for e, _, _, _ in rows] == g.edges()
     assert [(e, d) for e, w, d, _ in rows if d < w] == [((1, 2), 0), ((1, 3), 0)]
-    parent = rows[2][3]  # the row of vertex 1: 1 -> 0 -> 2 -> 3, all at distance 0
-    assert (parent[0], parent[2], parent[3]) == (1, 0, 2)
+    row = rows[2][3]  # the row of vertex 1: 1 -> 0 -> 2 -> 3, all at distance 0
+    assert [row[0][v] for v in (0, 2, 3)] == [0, 0, 0]
+    assert core._path_from_row(g, row, 3) == [1, 0, 2, 3]
 
 
 def _edge_lists(draw, max_n=7):
