@@ -27,7 +27,7 @@ from .core import (
     Graph,
     InstanceFormatError,
     Weight,
-    find_uncovered_cycle,
+    excess_map,
     format_weight,
     is_metric,
     parse_cover,
@@ -90,17 +90,9 @@ def _instance_summary(g: Graph, path: str | None = None,
     if deficit is None:
         # one Dijkstra run per distinct lower edge endpoint, not all n: a
         # gadget output of `reduce` has few, so it builds no n x n table
-        worst = find_uncovered_cycle(g, (), ())
-        deficit = worst.deficit if worst is not None else 0
-    summary = {
-        "n": g.n,
-        "m": g.m,
-        "deficit": format_weight(deficit),
-        "metric": deficit == 0,
-    }
-    if path is not None:
-        summary["path"] = path
-    return summary
+        deficit = max(excess_map(g).values(), default=0)
+    summary = {"n": g.n, "m": g.m, "deficit": format_weight(deficit), "metric": deficit == 0}
+    return summary if path is None else {**summary, "path": path}
 
 
 @dataclass(frozen=True)
@@ -142,7 +134,7 @@ def run_pipeline(g: Graph, kind: ProblemKind, *, repair: bool) -> PipelineResult
         cover = tuple(sorted(fixes))
         roles = (Role.DECREASE,) * len(cover)
         layers: tuple = ()
-        deficit = max((gs.weight(*e) - d for e, d in fixes.items()), default=0)
+        deficit = max(excess_map(gs).values(), default=0)
     else:
         solution = greedy_solve(gs, kind)
         cover, roles, layers = solution.edges, solution.roles, solution.layer_deficits

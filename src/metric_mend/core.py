@@ -75,11 +75,12 @@ class Graph:
 
     Being immutable, a graph keeps the answers of its cycle checks: the memo
     maps each ``(top cover, non-top cover)`` pair that
-    :func:`find_uncovered_cycle` has searched to its witness or None.  A
-    derived graph is a new object and starts with an empty memo.
+    :func:`find_uncovered_cycle` has searched to its witness or None, and
+    :func:`excess_map` keeps its whole-edge-set excesses.  A derived graph is
+    a new object and starts with neither.
     """
 
-    __slots__ = ("n", "_weights", "_adj", "_checks")
+    __slots__ = ("n", "_weights", "_adj", "_checks", "_excess")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, object]]):
         if n < 1:
@@ -109,6 +110,7 @@ class Graph:
             adj[v].append((u, wf))
         self._adj = adj
         self._checks = {}  # (top cover, non-top cover) -> witness or None
+        self._excess = None  # excess_map(self), filled on first ask
         return self
 
     @property
@@ -195,15 +197,24 @@ class Graph:
 # Instance text format
 
 
+def _quote(text: str) -> str:
+    """``text`` as an error message quotes it: its repr, cut to 40 characters."""
+    return repr(text) if len(text) <= 40 else f"{text[:40]!r}..."
+
+
 def _parse_weight_token(token: str, line: int) -> Weight:
     num, slash, den = token.partition("/")
     try:
-        num, den = int(num), int(den) if slash else 1
+        p, q = int(num), int(den) if slash else 1
     except ValueError:
-        den = 0
-    if den <= 0:
-        raise InstanceFormatError(f"malformed weight {token!r}", line)
-    return Fraction(num, den) if slash else num
+        limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+        if limit and any(len(s) > limit and s.lstrip("+-").isdecimal() for s in (num, den)):
+            raise InstanceFormatError(f"weight {_quote(token)} has more than {limit} digits",
+                                      line) from None
+        q = 0
+    if q <= 0:
+        raise InstanceFormatError(f"malformed weight {_quote(token)}", line)
+    return Fraction(p, q) if slash else p
 
 
 #: Largest vertex count a file header may declare, so that a ten-byte header
@@ -255,7 +266,7 @@ class LineReader:
     def end(self) -> None:
         lineno, tokens = next(self._rows, (None, None))
         if tokens is not None:
-            raise InstanceFormatError(f"unexpected trailing content {' '.join(tokens)!r}",
+            raise InstanceFormatError(f"unexpected trailing content {_quote(' '.join(tokens))}",
                                       lineno)
 
     def _values(self, shape: str, tokens: list[str], label: str) -> tuple:
@@ -274,15 +285,15 @@ class LineReader:
                 raise self._mismatch(shape, tokens, label) from None
             if field == "n" and not 1 <= value <= MAX_VERTICES:
                 raise InstanceFormatError(
-                    f"vertex count must lie in [1, {MAX_VERTICES}], got {value}", self.lineno)
+                    f"vertex count must lie in [1, {MAX_VERTICES}], got {_quote(token)}", self.lineno)
             if field in ("m", "k") and value < 0:
                 raise InstanceFormatError(
-                    f"count {field!r} must be nonnegative, got {value}", self.lineno)
+                    f"count {field!r} must be nonnegative, got {_quote(token)}", self.lineno)
             values.append(value)
         return tuple(values)
 
     def _mismatch(self, shape: str, tokens: list[str], label: str) -> InstanceFormatError:
-        return InstanceFormatError(f"expected {label}{shape!r}, got {' '.join(tokens)!r}",
+        return InstanceFormatError(f"expected {label}{shape!r}, got {_quote(' '.join(tokens))}",
                                    self.lineno)
 
     @contextmanager
@@ -473,26 +484,32 @@ def all_pairs_shortest_paths(g: Graph) -> DistanceTables:
     return DistanceTables({s: shortest_path_counts(g, s) for s in range(g.n)})
 
 
-def edge_distances(h: Graph, edges: Iterable[tuple[Edge, Weight]]) -> Iterator[tuple]:
-    """``(edge, w, d, row of u)`` for each of the sorted ``(edge, w)`` pairs,
-    with d = min(d(u, v) in ``h``, w): exact, so ``w - d`` is the edge's
-    excess, 0 when the edge is not violated.  The row is u's ``(dist,
-    order)`` from :func:`dijkstra`; when d < w it settled v, and
-    :func:`_path_from_row` reads a shortest u-v path from it.
+def excesses(h: Graph, edges: Iterable[tuple[Edge, Weight]]) -> dict[Edge, Weight]:
+    """``{edge: w - d(u, v) in h}`` over the violated edges (d(u, v) < w)
+    among the sorted ``(edge, w)`` pairs, which need not be edges of ``h``.
 
     One Dijkstra run in ``h`` per distinct lower endpoint u, stopped at the
     largest weight among u's listed edges, and only one row held at a time:
     the way to ask whether d(u, v) < w for each edge without an n x n table.
-    A row entry at or above w shows only that d(u, v) >= w (past the bound
-    it is INFINITY or tentative), so it reads as w.  The edges need not be
-    edges of ``h``.
+    A row entry below w is exact; one at or above w (past the bound it is
+    INFINITY or tentative) shows only that the edge is not violated.
     """
+    out = {}
     for u, group in groupby(edges, key=lambda item: item[0][0]):
         items = list(group)
-        row = dijkstra(h, u, max(w for _, w in items))
-        for (_, v), w in items:
-            d = row[0][v]
-            yield (u, v), w, d if d < w else w, row
+        dist = dijkstra(h, u, max(w for _, w in items))[0]
+        for e, w in items:
+            if dist[e[1]] < w:
+                out[e] = w - dist[e[1]]
+    return out
+
+
+def excess_map(g: Graph) -> dict[Edge, Weight]:
+    """:func:`excesses` over every edge of ``g``: computed on first ask and
+    kept by the graph, so callers read it and never change it."""
+    if g._excess is None:
+        g._excess = excesses(g, g._weights.items())
+    return g._excess
 
 
 # ---------------------------------------------------------------------------
@@ -501,18 +518,13 @@ def edge_distances(h: Graph, edges: Iterable[tuple[Edge, Weight]]) -> Iterator[t
 
 def graph_deficit(g: Graph, tables: DistanceTables) -> Weight:
     """Maximum cycle deficit, computed as max(w(e) - d(endpoints), 0); the
-    greedy takes the same maximum from one :func:`edge_distances` pass.
+    greedy takes the same maximum from :func:`excess_map`.
 
     Every cycle's deficit is at most its top edge's excess over the endpoint
     distance, and each positive excess is realized by the cycle closing the
     edge with a shortest path, so the edge scan equals the cycle maximum.
     """
-    best = 0
-    for (u, v), w in g.edge_items():
-        excess = w - tables.dist(u, v)
-        if excess > best:
-            best = excess
-    return best
+    return max([0] + [w - tables.dist(u, v) for (u, v), w in g.edge_items()])
 
 
 @dataclass(frozen=True)
@@ -570,45 +582,37 @@ def find_uncovered_cycle(g: Graph, top_cover: Iterable[Edge],
 
 
 def _uncovered_cycle(g: Graph, a: frozenset[Edge], b: frozenset[Edge]) -> CycleWitness | None:
-    """The search behind :func:`find_uncovered_cycle`, on checked edge sets."""
-    h = g.without_edges(b) if b else g  # the graph searched; top weights stay g's
-    return _excess_scan(h, ((e, w) for e, w in g.edge_items() if e not in a))[0]
+    """The search behind :func:`find_uncovered_cycle`, on checked edge sets:
+    without ``b`` it filters the graph's :func:`excess_map`."""
+    if not b:
+        return _witness(g, {e: x for e, x in excess_map(g).items() if e not in a}, g)
+    h = g.without_edges(b)  # the graph searched; top weights stay g's
+    return _witness(g, excesses(h, [(e, w) for e, w in g.edge_items() if e not in a]), h)
 
 
-def _excess_scan(h: Graph, tops: Iterable[tuple[Edge, Weight]]
-                 ) -> tuple[CycleWitness | None, list[Edge]]:
-    """``(witness, violated)`` over the sorted ``(edge, w)`` pairs, from one
-    :func:`edge_distances` pass in ``h``: a cycle closing the first edge of
-    largest excess w - d with its shortest path, or None when no edge is
-    violated, and every edge with d < w in order.
-    """
-    deficit, top, best = 0, None, None  # the first maximum so far, and its row
-    violated = []
-    for e, w, d, row in edge_distances(h, tops):
-        if d < w:
-            violated.append(e)
-            if w - d > deficit:
-                deficit, top, best = w - d, e, row
-    if top is None:
-        return None, violated
-    vertices = _path_from_row(h, best, top[1])
+def _witness(g: Graph, excess: dict[Edge, Weight], h: Graph) -> CycleWitness | None:
+    """The cycle closing the first edge of largest excess with a shortest path
+    in ``h``, or None when ``excess`` (edges of ``g`` in order, excesses over
+    distances in ``h``) is empty.  Its one :func:`dijkstra` row, at the top's
+    lower endpoint, stops at the top's weight: a prefix of any longer row."""
+    if not excess:
+        return None
+    top = max(excess, key=excess.__getitem__)  # the first maximum
+    vertices = _path_from_row(h, dijkstra(h, top[0], g.weight(*top)), top[1])
     nontop = tuple(canonical_edge(x, y) for x, y in zip(vertices, vertices[1:]))
-    return CycleWitness(top=top, nontop=nontop, deficit=deficit), violated
+    return CycleWitness(top=top, nontop=nontop, deficit=excess[top])
 
 
 def is_metric(g: Graph) -> bool:
     """True iff every edge weight equals its endpoints' shortest-path distance,
     that is, no edge is heavier than that distance."""
-    return find_uncovered_cycle(g, (), ()) is None
+    return not excess_map(g)
 
 
 def validate_cover(g: Graph, cover: Iterable[Edge], kind: CoverKind) -> CycleWitness | None:
     """None when ``cover`` is a valid cover of the given kind, else a witness cycle."""
     s = frozenset(canonical_edge(*e) for e in cover)
-    if kind is CoverKind.REGULAR:
-        return find_uncovered_cycle(g, s, s)
-    if kind is CoverKind.NONTOP:
-        return find_uncovered_cycle(g, frozenset(), s)
-    if kind is CoverKind.TOP:
-        return find_uncovered_cycle(g, s, frozenset())
-    raise ValueError(f"unknown cover kind {kind!r}")
+    covers = {CoverKind.REGULAR: (s, s), CoverKind.NONTOP: ((), s), CoverKind.TOP: (s, ())}
+    if kind not in covers:
+        raise ValueError(f"unknown cover kind {kind!r}")
+    return find_uncovered_cycle(g, *covers[kind])

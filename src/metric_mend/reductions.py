@@ -22,6 +22,7 @@ from .core import (
     MAX_VERTICES,
     canonical_edge,
     dijkstra,
+    excess_map,
     is_metric,
 )
 from .solver import ProblemKind, solve_decrease_only
@@ -150,7 +151,7 @@ def gmvid_to_gmvd(g: Graph) -> ReductionArtifact:
     reproducible.  An output above ``MAX_VERTICES`` vertices is refused
     before anything is built.
     """
-    tops = sorted(solve_decrease_only(g))
+    tops = list(excess_map(g))
     copies = g.m + 1
     size = g.n + len(tops) * copies
     if size > MAX_VERTICES:

@@ -14,9 +14,10 @@ an increase of a non-top edge stops at the shortest path between its
 endpoints that avoids the increase half or at the deficit, whichever comes
 first (one Dijkstra run, stopped where the deficit would take the edge), and
 a decrease of the top edge goes straight to balancing the witness cycle,
-which the split invariant makes safe (see `_apply_safe_move`).  After each
-move the loop rechecks only the edges that move can have left violated, and
-one whole-graph cycle search confirms the end; no move is probed.
+which the split invariant makes safe (see `_apply_safe_move`).  The first
+pass reads the graph's kept excess map; after each move the loop rechecks only
+the edges that move can have left violated, and `is_metric` confirms the end;
+no move is probed.
 """
 
 from __future__ import annotations
@@ -33,10 +34,11 @@ from .core import (
     InternalConsistencyError,
     Weight,
     _check_edge_subset,
-    _excess_scan,
+    _witness,
     canonical_edge,
     dijkstra,
-    edge_distances,
+    excess_map,
+    excesses,
     find_uncovered_cycle,
     format_weight,
     is_metric,
@@ -97,8 +99,7 @@ def split_cover(g: Graph, cover: Iterable[Edge]) -> SplitCover:
     s_minus: set[Edge] = set()
     h = g.without_edges(cover_set)  # g - (cover - s_minus), rebuilt when s_minus grows
     for b in sorted(cover_set):
-        [(_, w_b, d, _)] = edge_distances(h, [(b, g.weight(*b))])
-        if d < w_b:
+        if excesses(h, [(b, g.weight(*b))]):
             s_minus.add(b)
             h = g.without_edges(cover_set - s_minus)
     split = SplitCover(s_plus=cover_set - s_minus, s_minus=frozenset(s_minus))
@@ -122,14 +123,14 @@ def repair_weights(g: Graph, split: SplitCover) -> RepairOutcome:
     one scaled unit, so the cover size times the scaled L bounds the moves.
 
     Each pass asks only the edges that the last move can have left violated,
-    the first pass every edge; the witness is the first of largest excess,
-    the one a whole-graph search finds.  A raise of f only lengthens paths,
-    so it leaves violated at most the last pass's violated edges and f.  A
-    decrease sets the witness top t = (x, y) to w' >= d(x, y), the length of
-    the witness path P, and shortens no path: one through t is no shorter
-    with P in its place.  So it leaves violated at most the last pass's
-    violated edges.  When a pass finds none, one whole-graph search confirms
-    the graph metric.
+    the first pass reads the graph's :func:`excess_map`; the witness is the
+    first of largest excess, the one a whole-graph search finds.  A raise of
+    f only lengthens paths, so it leaves violated at most the last pass's
+    violated edges and f.  A decrease sets the witness top t = (x, y) to
+    w' >= d(x, y), the length of the witness path P, and shortens no path:
+    one through t is no shorter with P in its place.  So it leaves violated
+    at most the last pass's violated edges.  When a pass finds none, :func:`is_metric` confirms the
+    graph metric from its excess map, which a graph with no moves has kept.
     """
     s_plus, s_minus = split.s_plus, split.s_minus
     witness = find_uncovered_cycle(g, s_minus, s_plus)
@@ -140,13 +141,13 @@ def repair_weights(g: Graph, split: SplitCover) -> RepairOutcome:
     cap = max((w for _, w in work.edge_items()), default=0)  # no move may exceed this
     max_moves = (len(s_plus) + len(s_minus)) * cap + 1
     steps = 0
-    asked = work.edge_items()
+    excess = excess_map(work)
     h = work.without_edges(s_plus)  # G - S+: a raise leaves it as it is, a decrease not
 
     for _ in range(max_moves):
-        witness, violated = _excess_scan(work, asked)
+        witness = _witness(work, excess, work)
         if witness is None:
-            if find_uncovered_cycle(work, (), ()) is not None:
+            if not is_metric(work):
                 raise InternalConsistencyError("the recheck missed a violated edge")
             break
         move = _apply_safe_move(work, witness, s_plus, s_minus, h)
@@ -156,11 +157,10 @@ def repair_weights(g: Graph, split: SplitCover) -> RepairOutcome:
         e, w = move
         raised = w > work.weight(*e)
         work = work.with_weight(e, w)
-        if raised:
-            violated = sorted({*violated, e})
-        else:
+        if not raised:
             h = work.without_edges(s_plus)
-        asked = [(f, work.weight(*f)) for f in violated]
+        asked = sorted({*excess, e}) if raised else excess
+        excess = excesses(work, [(f, work.weight(*f)) for f in asked])
         steps += 1
     else:
         raise InternalConsistencyError("repair exceeded its move budget")
@@ -178,7 +178,7 @@ def _apply_safe_move(work: Graph, witness: CycleWitness, s_plus: frozenset[Edge]
         # raising f is safe up to the shortest f-endpoint path that avoids the
         # increase half entirely: only cycles topped by f can become unbalanced,
         # and those are escape cycles exactly when such a shorter path exists.
-        [(_, _, limit, _)] = edge_distances(h, [(f, w_f + deficit)])
+        limit = w_f + deficit - excesses(h, [(f, w_f + deficit)]).get(f, 0)
         if limit > w_f:
             return f, limit
 

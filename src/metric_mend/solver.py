@@ -1,11 +1,11 @@
 """Deficit-layered greedy cover solver and its counting primitives.
 
-The solver repeatedly finds the current maximum cycle deficit from one
-distance per edge, counts for every edge how many maximum-deficit unbalanced
-cycles it lies on (as top and/or non-top edge, from the distances and path
-counts of the tight tops' lower endpoints alone; no n x n table), removes the edge
-with the largest count from the working graph, and stops when no unbalanced
-cycle remains.  The removed edges form a regular cover (full variant) or a
+The solver repeatedly finds the current maximum cycle deficit as the largest
+edge excess, counts for every edge how many maximum-deficit unbalanced cycles
+it lies on (as top and/or non-top edge, from the distances and path counts of
+the tight tops' lower endpoints alone; no n x n table), removes the edge with
+the largest count from the working graph, and stops when no unbalanced cycle
+remains.  The removed edges form a regular cover (full variant) or a
 non-top cover (increase-only variant) of the original graph.
 """
 
@@ -25,7 +25,8 @@ from .core import (
     InternalConsistencyError,
     Weight,
     canonical_edge,
-    edge_distances,
+    excess_map,
+    excesses,
     shortest_path_counts,
     validate_cover,
 )
@@ -194,8 +195,9 @@ def count_report(g: Graph, tables: DistanceTables, delta: Weight,
 def greedy_solve(g: Graph, kind: ProblemKind) -> CoverSolution:
     """Greedy cover construction, one maximum-count edge per round.
 
-    Each round takes the maximum deficit delta as the largest excess w - d
-    over the edges the last round found violated, counts the edges at delta
+    Each round takes the maximum deficit delta as the largest excess w - d,
+    the first from the graph's :func:`excess_map` and each later one from
+    the edges the last round found violated, counts the edges at delta
     from one counted row per tight top's (excess delta) lower endpoint,
     bounded at the longest shortest path those tops close, removes the
     argmax (ties: lexicographically smallest edge), and repeats until the
@@ -206,11 +208,10 @@ def greedy_solve(g: Graph, kind: ProblemKind) -> CoverSolution:
         raise ValueError("greedy_solve handles the GMVD and GMVID problems")
     if g.has_zero_weight():
         raise ValueError("path counting requires strictly positive weights")
-    work, violated = g, g.edge_items()
+    work, excess = g, excess_map(g)
     selected: list[Edge] = []
     layers: list[Weight] = []
     for _ in range(g.m + 1):
-        excess = {e: w - d for e, w, d, _ in edge_distances(work, violated) if d < w}
         if not excess:
             break
         delta = max(excess.values())
@@ -232,7 +233,7 @@ def greedy_solve(g: Graph, kind: ProblemKind) -> CoverSolution:
         selected.append(best)
         work = work.without_edges([best])
         # removing an edge only lengthens distances, so no other edge turns violated
-        violated = [(e, work.weight(*e)) for e in excess if e != best]
+        excess = excesses(work, [(e, work.weight(*e)) for e in excess if e != best])
     else:
         raise InternalConsistencyError("cover loop failed to terminate")
 
@@ -246,6 +247,7 @@ def greedy_solve(g: Graph, kind: ProblemKind) -> CoverSolution:
 
 def solve_decrease_only(g: Graph) -> dict[Edge, Weight]:
     """Exact optimum for the decrease-only problem: each edge heavier than its
-    endpoints' shortest-path distance, mapped to that distance.  Setting
-    every such edge to its distance repairs the graph, and no table is built."""
-    return {e: d for e, w, d, _ in edge_distances(g, g.edge_items()) if d < w}
+    endpoints' shortest-path distance, mapped to that distance, read from the
+    graph's :func:`excess_map`.  Setting every such edge to its distance
+    repairs the graph, and no table is built."""
+    return {e: g.weight(*e) - x for e, x in excess_map(g).items()}

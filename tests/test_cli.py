@@ -256,7 +256,7 @@ class TestOracleCommand:
 
         monkeypatch.setattr(cli, "enumerate_unbalanced_cycles", counting)
         monkeypatch.setattr(oracle, "enumerate_unbalanced_cycles", counting)
-        monkeypatch.setattr(cli, "find_uncovered_cycle", lambda *a: checks.append(a))
+        monkeypatch.setattr(core, "excesses", lambda *a: checks.append(a))
         monkeypatch.setattr(core, "_uncovered_cycle", lambda *a: checks.append(a))
         code, report = run_json(capsys, ["oracle", str(path)] + what)
         assert code == 0 and checks == []
@@ -437,19 +437,30 @@ class TestOracleBudget:
     (["solve", "{a}"], {"a": b"3 3\n0 1 1\x0c\n1 2 1\n0 2 \xff\n"}, 4),
     (["check", "{a}", "{b}"], {"a": "3 3\n0 1 1\n1 2 1\n0 2 5\n", "b": "0 2\x1e\n1 5\n"}, 2),
     (["solve", "{a}"], {"a": "3 3\r0 1 1\r\n1 2 1\r0 2 x\r"}, 4),
+    # an error quotes at most a prefix of what it got
+    (["solve", "{a}"], {"a": "3 3\n0 1 1\n1 2 1\n0 2 " + "9" * 5000 + "\n"}, 4),
+    (["solve", "{a}"], {"a": "3 3\n0 1 1\n1 2 1\n0 2 1/" + "7" * 5000 + "\n"}, 4),
+    (["solve", "{a}"], {"a": "3 3\n0 1 1\n1 2 1\n0 2 " + "x" * 5000 + "\n"}, 4),
+    (["solve", "{a}"], {"a": "3 3\n0 1 1\n1 2 1\n" + "0 2 5 " * 1000 + "\n"}, 4),
+    (["solve", "{a}"], {"a": "3 1\n0 1 1\n" + "1 2 " * 1000 + "\n"}, 3),
+    (["solve", "{a}"], {"a": "9" * 4000 + " 0\n"}, 1),
+    (["reduce", "multicut", "{a}", "--out", "{out}"], {"a": "3 -" + "9" * 4000 + "\nD 0\n"}, 1),
 ], ids=["vertex-cap", "no-vertices", "multicut-negative-m", "lbcut-negative-m",
         "demand-count", "demand-token", "demand-on-edge", "lb-token", "lb-on-edge",
         "cover-non-edge", "instance-not-utf8", "cover-not-utf8", "source-not-utf8",
         "oracle-not-utf8", "weight-after-form-feed", "token-after-line-separator",
         "eof-after-form-feed", "trailing-after-form-feed", "byte-after-form-feed",
-        "cover-after-record-separator", "lone-cr-lines"])
+        "cover-after-record-separator", "lone-cr-lines", "weight-past-digit-limit",
+        "denominator-past-digit-limit", "long-malformed-weight", "long-mismatched-line",
+        "long-trailing-content", "huge-vertex-count", "huge-negative-count"])
 def test_file_errors_exit_2_with_line(capsys, tmp_path, argv, files, line):
     paths = {"out": str(tmp_path / "out.txt")}
     for name, text in files.items():
         (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode())
         paths[name] = str(tmp_path / name)
     assert main([a.format(**paths) for a in argv]) == 2
-    assert f"line {line}:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"line {line}:" in err and len(err) < 200
 
 
 def test_internal_value_error_exits_3_without_traceback(capsys, monkeypatch, k3_file):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -18,7 +19,8 @@ from metric_mend.core import (
     MAX_VERTICES,
     all_pairs_shortest_paths,
     dijkstra,
-    edge_distances,
+    excess_map,
+    excesses,
     find_uncovered_cycle,
     graph_deficit,
     is_metric,
@@ -31,7 +33,7 @@ from metric_mend.core import (
 from metric_mend import core, repair
 from metric_mend.oracle import enumerate_unbalanced_cycles
 from metric_mend.reductions import parse_lbcut, parse_multicut
-from metric_mend.solver import ProblemKind
+from metric_mend.solver import ProblemKind, greedy_solve, solve_decrease_only
 
 import helpers
 from conftest import K3_TEXT
@@ -70,6 +72,14 @@ class TestParsing:
     def test_rejects_bad_input(self, text, fragment):
         with pytest.raises(InstanceFormatError, match=fragment):
             parse_instance(text)
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit")
+    @pytest.mark.parametrize("token", ["9" * 5000, "1/" + "7" * 5000])
+    def test_an_over_long_weight_names_the_digit_limit(self, token):
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(InstanceFormatError, match=rf"more than {limit} digits") as err:
+            parse_instance(f"2 1\n0 1 {token}")
+        assert err.value.line == 2 and len(str(err.value)) < 100
 
     def test_error_carries_line_number(self):
         with pytest.raises(InstanceFormatError) as err:
@@ -350,26 +360,39 @@ def test_dijkstra_settles_by_distance_then_id(g, data):
 
 @settings(max_examples=100, deadline=None)
 @given(zero_graphs())
-def test_edge_distances_answer_d_below_w_exactly(g):
-    rows = list(edge_distances(g, g.edge_items()))
-    assert [(e, w) for e, w, _, _ in rows] == g.edge_items()
-    for (u, v), w, d, row in rows:
-        full_dist, full_parent = helpers.parent_dijkstra(g, u)
-        assert d == min(full_dist[v], w)  # exact, never INFINITY or tentative
+def test_excesses_answer_w_minus_d_exactly(g):
+    expected = {}
+    for (u, v), w in g.edge_items():
+        d = helpers.parent_dijkstra(g, u)[0][v]
         if d < w:
-            assert core._path_from_row(g, row, v) == helpers.parent_path(full_parent, u, v)
+            expected[(u, v)] = w - d
+    assert excesses(g, g.edge_items()) == expected
+    assert list(excesses(g, g.edge_items())) == list(expected)  # in edge order
 
 
-def test_edge_distances_with_an_all_zero_row():
+@settings(max_examples=100, deadline=None)
+@given(zero_graphs())
+def test_witness_path_is_the_unbounded_reference_path(g):
+    """The witness row stops at the top's weight; its path is the one a
+    parent-recording run without a bound keeps, zero weights included."""
+    witness = find_uncovered_cycle(g, (), ())
+    if witness is None:
+        assert is_metric(g)
+        return
+    u, v = witness.top
+    vertices = helpers.parent_path(helpers.parent_dijkstra(g, u)[1], u, v)
+    assert witness.nontop == tuple(core.canonical_edge(x, y)
+                                   for x, y in zip(vertices, vertices[1:]))
+
+
+def test_excesses_with_an_all_zero_row():
     """Vertex 0's listed edges all weigh 0, so its run stops at once; the
     rows after it still read exact distances below their weights."""
     g = helpers.graph_with_zeros(4, [(0, 1, 0), (0, 2, 0), (1, 2, 3), (1, 3, 1), (2, 3, 0)])
-    rows = list(edge_distances(g, g.edge_items()))
-    assert [e for e, _, _, _ in rows] == g.edges()
-    assert [(e, d) for e, w, d, _ in rows if d < w] == [((1, 2), 0), ((1, 3), 0)]
-    row = rows[2][3]  # the row of vertex 1: 1 -> 0 -> 2 -> 3, all at distance 0
-    assert [row[0][v] for v in (0, 2, 3)] == [0, 0, 0]
-    assert core._path_from_row(g, row, 3) == [1, 0, 2, 3]
+    assert excesses(g, g.edge_items()) == {(1, 2): 3, (1, 3): 1}
+    witness = find_uncovered_cycle(g, {(1, 2)}, ())  # closes (1, 3): 1 -> 0 -> 2 -> 3
+    assert witness.top == (1, 3) and witness.deficit == 1
+    assert witness.nontop == ((0, 1), (0, 2), (2, 3))
 
 
 def _edge_lists(draw, max_n=7):
@@ -539,51 +562,64 @@ class TestDerivedGraphs:
 
 
 class TestCheckMemo:
-    """A graph keeps the answer of each cycle check; a derived graph is a new
-    object and asks afresh."""
+    """A graph keeps the answer of each cycle check and its excess map; a
+    derived graph is a new object and asks afresh."""
 
     @staticmethod
     def _count(monkeypatch) -> tuple[list, list]:
-        calls, searches = [], []
-        find, search = core.find_uncovered_cycle, core._uncovered_cycle
+        """Calls of find_uncovered_cycle, and whole-graph excess passes: a
+        graph's excess map or a search of a graph minus a non-top cover."""
+        calls, passes = [], []
+        find, scan = core.find_uncovered_cycle, core.excesses
 
         def counting_find(*args):
             calls.append(args[0])
             return find(*args)
 
-        def counting_search(*args):
-            searches.append(args[0])
-            return search(*args)
+        def counting_scan(*args):
+            passes.append(args[0])
+            return scan(*args)
 
         for module in (core, repair):
             monkeypatch.setattr(module, "find_uncovered_cycle", counting_find)
-        monkeypatch.setattr(core, "_uncovered_cycle", counting_search)
-        return calls, searches
+        monkeypatch.setattr(core, "excesses", counting_scan)
+        return calls, passes
 
-    @pytest.mark.parametrize("kind, n_calls, n_searches",
-                             [(ProblemKind.GMVD, 7, 3), (ProblemKind.GMVID, 5, 2)])
+    @pytest.mark.parametrize("kind, n_calls, n_passes", [
+        (ProblemKind.GMVD, 5, 4), (ProblemKind.GMVID, 3, 3), (ProblemKind.GMVDD, 1, 2)])
     def test_pipeline_runs_each_distinct_check_once(self, monkeypatch, kind,
-                                                    n_calls, n_searches):
-        """The repair's moves recheck edges without a whole-graph check, so
+                                                    n_calls, n_passes):
+        """The greedy or gmvdd and the repair's first pass share the input's
+        map, the repaired graph's map serves the repair's confirm and the
+        verdict, and the moves recheck edges without a whole-graph pass, so
         the totals do not grow with the moves."""
         g = helpers.rational_instance(n=7, violations=3, seed=123)
-        calls, searches = self._count(monkeypatch)
+        calls, passes = self._count(monkeypatch)
         result = run_pipeline(g, kind, repair=True)
         assert result.steps > 1 and result.verdicts["all_ok"]
         assert len(calls) == n_calls
-        assert len(searches) == n_searches
+        assert len(passes) == n_passes
 
     def test_a_derived_graph_starts_with_no_answers(self, monkeypatch):
         g = Graph(3, [(0, 1, 1), (1, 2, 1), (0, 2, 2)])
         assert is_metric(g)
-        _, searches = self._count(monkeypatch)
-        assert is_metric(g) and g.scaled(1) is g and searches == []
+        _, passes = self._count(monkeypatch)
+        assert is_metric(g) and g.scaled(1) is g and passes == []
         heavy = g.with_weight((0, 2), 5)
-        assert not is_metric(heavy) and len(searches) == 1
-        assert find_uncovered_cycle(heavy, (), ()).deficit == 3 and len(searches) == 1
+        assert not is_metric(heavy) and len(passes) == 1
+        assert find_uncovered_cycle(heavy, (), ()).deficit == 3 and len(passes) == 1
         for derived in (g.without_edges([(0, 2)]), g.scaled(2), heavy.with_weight((0, 2), 2)):
             assert is_metric(derived)
-        assert len(searches) == 4
+        assert len(passes) == 4
+
+    def test_readers_leave_the_kept_map_unchanged(self):
+        gs = helpers.rational_instance(n=7, violations=3, seed=123).integer_scaled()[0]
+        kept = excess_map(gs)
+        before = dict(kept)
+        cover = greedy_solve(gs, ProblemKind.GMVD).edges
+        repair.repair_weights(gs, repair.split_cover(gs, cover))
+        assert solve_decrease_only(gs) == {e: gs.weight(*e) - x for e, x in before.items()}
+        assert excess_map(gs) is kept and kept == before and list(kept) == list(before)
 
     def test_an_answered_check_still_refuses_non_edges(self, k3):
         assert find_uncovered_cycle(k3, [(0, 2)], ()) is None

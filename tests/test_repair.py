@@ -92,8 +92,8 @@ class TestSplitCover:
     def test_final_check_catches_a_wrong_split(self, monkeypatch, k3):
         """Forcing every edge into the plus half leaves the heavy chord's
         cycle uncovered, which the final search must report."""
-        monkeypatch.setattr(repair, "edge_distances",  # "no shorter path": d = w
-                            lambda h, edges: ((e, w, w, None) for e, w in edges))
+        monkeypatch.setattr(repair, "excesses",  # "no shorter path": no excess
+                            lambda h, edges: {})
         with pytest.raises(InternalConsistencyError, match="uncovered"):
             split_cover(k3, {(0, 2)})
 
@@ -125,7 +125,7 @@ class TestRepairWeights:
         assert out.graph == g
 
     def test_a_missed_violation_is_an_internal_error(self, monkeypatch, k3):
-        monkeypatch.setattr(repair, "_excess_scan", lambda h, tops: (None, []))
+        monkeypatch.setattr(repair, "excess_map", lambda g: {})  # the first pass misses
         with pytest.raises(InternalConsistencyError, match="recheck missed"):
             repair_weights(k3, helpers.increase_only([(0, 1)]))
 

@@ -13,7 +13,8 @@ from metric_mend.core import (
     DistanceTables,
     Graph,
     all_pairs_shortest_paths,
-    edge_distances,
+    excess_map,
+    excesses,
     graph_deficit,
     shortest_path_counts,
     validate_cover,
@@ -297,21 +298,22 @@ def test_count_report_needs_rows_only_at_tight_tops(g, kind, data):
 @settings(max_examples=150, deadline=None)
 @given(helpers.count_graphs(), st.sampled_from([ProblemKind.GMVD, ProblemKind.GMVID]))
 def test_each_round_asks_enough_edges(g, kind):
-    """Every round's excess map, asked of the last round's violated edges
-    only, equals a full pass over the working graph's edges."""
+    """Every round's excess map, the first read from the graph's kept map and
+    each later one asked of the last round's violated edges only, equals a
+    full pass over the working graph's edges."""
     rounds = []
 
     def checked(work, edges):
         edges = list(edges)
         assert edges == sorted(edges)
-        asked = list(edge_distances(work, edges))
-        excess = {e: w - d for e, w, d, _ in asked if d < w}
-        full = {e: w - d for e, w, d, _ in edge_distances(work, work.edge_items()) if d < w}
-        assert excess == full
+        excess = excesses(work, edges)
+        assert excess == excesses(work, work.edge_items())
         rounds.append(len(edges))
-        return iter(asked)
+        return excess
 
-    with mock.patch.object(solver, "edge_distances", checked):
+    assert excess_map(g) == excesses(g, g.edge_items())
+    first = len(excess_map(g))
+    with mock.patch.object(solver, "excesses", checked):
         cover = greedy_solve(g, kind)
-    assert len(rounds) == cover.size + 1
-    assert rounds[0] == g.m and all(a >= b for a, b in zip(rounds, rounds[1:]))
+    assert len(rounds) == cover.size
+    assert all(a >= b for a, b in zip([first] + rounds, rounds))
