@@ -69,18 +69,17 @@ class Graph:
     the edge order: (u, v) lexicographic.  Immutable after that; the
     "mutators" (:meth:`with_weight`, :meth:`without_edges`, :meth:`scaled`)
     build new graphs from the checked, sorted weights and check only what
-    they are given, so a search on G minus S runs on ``without_edges(S)``.
+    they are given; a search on G minus S runs on ``without_edges(S)``, G
+    itself when S is empty.
     :meth:`with_weight` is the one way to set a zero weight; the repair never
     does, and ``repair.lift_zero_edges`` accepts a graph that has some.
 
-    Being immutable, a graph keeps the answers of its cycle checks: the memo
-    maps each ``(top cover, non-top cover)`` pair that
-    :func:`find_uncovered_cycle` has searched to its witness or None, and
-    :func:`excess_map` keeps its whole-edge-set excesses.  A derived graph is
-    a new object and starts with neither.
+    Being immutable, a graph keeps its :func:`excess_map` for each non-top
+    cover it has been asked about (the empty one: every edge over distances
+    in the graph); a derived graph is a new object and starts with none.
     """
 
-    __slots__ = ("n", "_weights", "_adj", "_checks", "_excess")
+    __slots__ = ("n", "_weights", "_adj", "_excess")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, object]]):
         if n < 1:
@@ -109,8 +108,7 @@ class Graph:
             adj[u].append((v, wf))
             adj[v].append((u, wf))
         self._adj = adj
-        self._checks = {}  # (top cover, non-top cover) -> witness or None
-        self._excess = None  # excess_map(self), filled on first ask
+        self._excess = {}  # non-top cover -> excess_map(self, it), filled on first ask
         return self
 
     @property
@@ -145,6 +143,8 @@ class Graph:
         drop = {canonical_edge(*e) for e in edges}
         if missing := drop - self._weights.keys():
             raise KeyError(f"no edge {min(missing)}")
+        if not drop:
+            return self
         weights = {e: wf for e, wf in self._weights.items() if e not in drop}
         return Graph.__new__(Graph)._fill(self.n, weights)
 
@@ -202,13 +202,22 @@ def _quote(text: str) -> str:
     return repr(text) if len(text) <= 40 else f"{text[:40]!r}..."
 
 
+def _parse_int(token: str) -> int:
+    """``token`` as an int if it is ASCII digits after an optional minus, else
+    ValueError: ``int()`` alone also reads ``_``, ``+`` and any Unicode digit."""
+    if not (token.isascii() and token.removeprefix("-").isdigit()):
+        raise ValueError(token)
+    return int(token)
+
+
 def _parse_weight_token(token: str, line: int) -> Weight:
     num, slash, den = token.partition("/")
     try:
-        p, q = int(num), int(den) if slash else 1
+        p, q = _parse_int(num), _parse_int(den) if slash else 1
     except ValueError:
         limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
-        if limit and any(len(s) > limit and s.lstrip("+-").isdecimal() for s in (num, den)):
+        if limit and any(len(s) > limit and s.isascii() and s.removeprefix("-").isdigit()
+                         for s in (num, den)):
             raise InstanceFormatError(f"weight {_quote(token)} has more than {limit} digits",
                                       line) from None
         q = 0
@@ -280,7 +289,7 @@ class LineReader:
                 values.append(_parse_weight_token(token, self.lineno))
                 continue
             try:
-                value = int(token)
+                value = _parse_int(token)
             except ValueError:
                 raise self._mismatch(shape, tokens, label) from None
             if field == "n" and not 1 <= value <= MAX_VERTICES:
@@ -504,12 +513,13 @@ def excesses(h: Graph, edges: Iterable[tuple[Edge, Weight]]) -> dict[Edge, Weigh
     return out
 
 
-def excess_map(g: Graph) -> dict[Edge, Weight]:
-    """:func:`excesses` over every edge of ``g``: computed on first ask and
-    kept by the graph, so callers read it and never change it."""
-    if g._excess is None:
-        g._excess = excesses(g, g._weights.items())
-    return g._excess
+def excess_map(g: Graph, nontop_cover: frozenset[Edge] = frozenset()) -> dict[Edge, Weight]:
+    """:func:`excesses` of every edge of ``g`` over distances in ``g`` without
+    the checked edge set ``nontop_cover``: computed on first ask and kept by
+    the graph, so callers read it and never change it."""
+    if nontop_cover not in g._excess:
+        g._excess[nontop_cover] = excesses(g.without_edges(nontop_cover), g._weights.items())
+    return g._excess[nontop_cover]
 
 
 # ---------------------------------------------------------------------------
@@ -570,34 +580,23 @@ def find_uncovered_cycle(g: Graph, top_cover: Iterable[Edge],
     Returns a maximum-deficit witness, ties broken by lexicographic top edge,
     or None when every unbalanced cycle is covered.
 
-    Both edge sets are checked on every call; the search itself runs once
-    per graph and pair of sets, whose answer the graph's memo then keeps.
+    Both edge sets are checked on every call; the search reads the graph's
+    kept :func:`excess_map` of ``nontop_cover`` without ``top_cover``.
     """
     a = _check_edge_subset(g, top_cover, "top_cover")
     b = _check_edge_subset(g, nontop_cover, "nontop_cover")
-    memo = g._checks
-    if (a, b) not in memo:
-        memo[a, b] = _uncovered_cycle(g, a, b)
-    return memo[a, b]
+    return _witness(g, {e: x for e, x in excess_map(g, b).items() if e not in a}, b)
 
 
-def _uncovered_cycle(g: Graph, a: frozenset[Edge], b: frozenset[Edge]) -> CycleWitness | None:
-    """The search behind :func:`find_uncovered_cycle`, on checked edge sets:
-    without ``b`` it filters the graph's :func:`excess_map`."""
-    if not b:
-        return _witness(g, {e: x for e, x in excess_map(g).items() if e not in a}, g)
-    h = g.without_edges(b)  # the graph searched; top weights stay g's
-    return _witness(g, excesses(h, [(e, w) for e, w in g.edge_items() if e not in a]), h)
-
-
-def _witness(g: Graph, excess: dict[Edge, Weight], h: Graph) -> CycleWitness | None:
+def _witness(g: Graph, excess: dict[Edge, Weight], b: Iterable[Edge]) -> CycleWitness | None:
     """The cycle closing the first edge of largest excess with a shortest path
-    in ``h``, or None when ``excess`` (edges of ``g`` in order, excesses over
-    distances in ``h``) is empty.  Its one :func:`dijkstra` row, at the top's
-    lower endpoint, stops at the top's weight: a prefix of any longer row."""
+    in h = ``g`` without ``b`` (built for a witness only), or None when
+    ``excess``, over distances in h, is empty.  Its one :func:`dijkstra` row,
+    at the top's lower endpoint, stops at the top's weight."""
     if not excess:
         return None
     top = max(excess, key=excess.__getitem__)  # the first maximum
+    h = g.without_edges(b)
     vertices = _path_from_row(h, dijkstra(h, top[0], g.weight(*top)), top[1])
     nontop = tuple(canonical_edge(x, y) for x, y in zip(vertices, vertices[1:]))
     return CycleWitness(top=top, nontop=nontop, deficit=excess[top])

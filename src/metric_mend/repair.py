@@ -15,9 +15,9 @@ endpoints that avoids the increase half or at the deficit, whichever comes
 first (one Dijkstra run, stopped where the deficit would take the edge), and
 a decrease of the top edge goes straight to balancing the witness cycle,
 which the split invariant makes safe (see `_apply_safe_move`).  The first
-pass reads the graph's kept excess map; after each move the loop rechecks only
-the edges that move can have left violated, and `is_metric` confirms the end;
-no move is probed.
+pass reads the graph's kept excess map; after a raise the loop rechecks only
+the edges that move can have left violated, a decrease changes no distance and
+needs no recheck, and `is_metric` confirms the end; no move is probed.
 """
 
 from __future__ import annotations
@@ -122,15 +122,14 @@ def repair_weights(g: Graph, split: SplitCover) -> RepairOutcome:
     limit allows, shifting one weight monotonically within (0, L] by at least
     one scaled unit, so the cover size times the scaled L bounds the moves.
 
-    Each pass asks only the edges that the last move can have left violated,
-    the first pass reads the graph's :func:`excess_map`; the witness is the
+    The first pass reads the graph's :func:`excess_map`; the witness is the
     first of largest excess, the one a whole-graph search finds.  A raise of
-    f only lengthens paths, so it leaves violated at most the last pass's
-    violated edges and f.  A decrease sets the witness top t = (x, y) to
-    w' >= d(x, y), the length of the witness path P, and shortens no path:
-    one through t is no shorter with P in its place.  So it leaves violated
-    at most the last pass's violated edges.  When a pass finds none, :func:`is_metric` confirms the
-    graph metric from its excess map, which a graph with no moves has kept.
+    f only lengthens paths, so the next pass asks only the last pass's
+    violated edges and f.  A decrease moves the witness top t = (x, y) from
+    w_t to w >= d(x, y), the witness path's length, and changes no distance
+    (a path through t is no shorter with that path in its place): t's
+    excess falls by w_t - w, t leaves the map at 0, and no pass runs.  Once
+    no edge is violated, :func:`is_metric` confirms it from its excess map.
     """
     s_plus, s_minus = split.s_plus, split.s_minus
     witness = find_uncovered_cycle(g, s_minus, s_plus)
@@ -140,28 +139,26 @@ def repair_weights(g: Graph, split: SplitCover) -> RepairOutcome:
     work, factor = g.integer_scaled()
     cap = max((w for _, w in work.edge_items()), default=0)  # no move may exceed this
     max_moves = (len(s_plus) + len(s_minus)) * cap + 1
-    steps = 0
     excess = excess_map(work)
     h = work.without_edges(s_plus)  # G - S+: a raise leaves it as it is, a decrease not
 
-    for _ in range(max_moves):
-        witness = _witness(work, excess, work)
+    for steps in range(max_moves):  # each pass but the last makes one move
+        witness = _witness(work, excess, ())
         if witness is None:
             if not is_metric(work):
                 raise InternalConsistencyError("the recheck missed a violated edge")
             break
         move = _apply_safe_move(work, witness, s_plus, s_minus, h)
         if move is None:
-            raise InternalConsistencyError(
-                f"no safe move on witness cycle {witness}")
+            raise InternalConsistencyError(f"no safe move on witness cycle {witness}")
         e, w = move
-        raised = w > work.weight(*e)
+        drop = work.weight(*e) - w  # negative for a raise
         work = work.with_weight(e, w)
-        if not raised:
+        if drop < 0:
+            excess = excesses(work, [(f, work.weight(*f)) for f in sorted({*excess, e})])
+        else:  # e is the witness top, so it has an excess
             h = work.without_edges(s_plus)
-        asked = sorted({*excess, e}) if raised else excess
-        excess = excesses(work, [(f, work.weight(*f)) for f in asked])
-        steps += 1
+            excess = {f: x - drop if f == e else x for f, x in excess.items() if f != e or x > drop}
     else:
         raise InternalConsistencyError("repair exceeded its move budget")
 

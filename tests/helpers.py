@@ -314,6 +314,20 @@ def count_graphs(draw, max_n=8):
     return Graph(n, [(u, v, w) for (u, v), w in zip(chosen, weights)])
 
 
+@st.composite
+def small_graphs(draw, max_n=8):
+    """Graphs on up to eight vertices with int and Fraction weights; a drawn
+    edge subset leaves many of them disconnected or with isolated vertices."""
+    n = draw(st.integers(1, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = sorted(draw(st.sets(st.sampled_from(pairs)))) if pairs else []
+    weights = draw(st.lists(
+        st.one_of(st.integers(1, 9),
+                  st.fractions(min_value=Fraction(1, 4), max_value=9, max_denominator=4)),
+        min_size=len(chosen), max_size=len(chosen)))
+    return Graph(n, [(u, v, w) for (u, v), w in zip(chosen, weights)])
+
+
 def rational_instance(n: int, violations: int, seed: int, density: float = 0.7) -> Graph:
     """Metric base with genuinely rational weights, then planted violations."""
     rng = random.Random(seed)

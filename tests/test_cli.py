@@ -256,8 +256,7 @@ class TestOracleCommand:
 
         monkeypatch.setattr(cli, "enumerate_unbalanced_cycles", counting)
         monkeypatch.setattr(oracle, "enumerate_unbalanced_cycles", counting)
-        monkeypatch.setattr(core, "excesses", lambda *a: checks.append(a))
-        monkeypatch.setattr(core, "_uncovered_cycle", lambda *a: checks.append(a))
+        monkeypatch.setattr(core, "excesses", lambda *a: checks.append(a))  # every cycle check
         code, report = run_json(capsys, ["oracle", str(path)] + what)
         assert code == 0 and checks == []
         assert len(enumerations) == 1 and "budget" in enumerations[0]
@@ -445,6 +444,14 @@ class TestOracleBudget:
     (["solve", "{a}"], {"a": "3 1\n0 1 1\n" + "1 2 " * 1000 + "\n"}, 3),
     (["solve", "{a}"], {"a": "9" * 4000 + " 0\n"}, 1),
     (["reduce", "multicut", "{a}", "--out", "{out}"], {"a": "3 -" + "9" * 4000 + "\nD 0\n"}, 1),
+    # a number is ASCII digits after an optional minus, each side of p/q included
+    (["solve", "{a}"], {"a": "3 3\n0 1 1\n1 2 1\n0 2 1_0\n"}, 4),
+    (["solve", "{a}"], {"a": "3 3\n0 1 1\n1 2 1\n0 2 +3\n"}, 4),
+    (["solve", "{a}"], {"a": "3 3\n0 1 1\n1 2 1\n0 2 \u0663/\u0662\n"}, 4),
+    (["solve", "{a}"], {"a": "3 3\n\uff10 1 1\n1 2 1\n0 2 5\n"}, 2),
+    (["solve", "{a}"], {"a": "0_3 3\n0 1 1\n1 2 1\n0 2 5\n"}, 1),
+    (["check", "{a}", "{b}"], {"a": "3 3\n0 1 1\n1 2 1\n0 2 5\n", "b": "0 +2\n"}, 1),
+    (["reduce", "multicut", "{a}", "--out", "{out}"], {"a": "3 2\n0 1\n1 2\nD 1\n0 +2\n"}, 5),
 ], ids=["vertex-cap", "no-vertices", "multicut-negative-m", "lbcut-negative-m",
         "demand-count", "demand-token", "demand-on-edge", "lb-token", "lb-on-edge",
         "cover-non-edge", "instance-not-utf8", "cover-not-utf8", "source-not-utf8",
@@ -452,7 +459,9 @@ class TestOracleBudget:
         "eof-after-form-feed", "trailing-after-form-feed", "byte-after-form-feed",
         "cover-after-record-separator", "lone-cr-lines", "weight-past-digit-limit",
         "denominator-past-digit-limit", "long-malformed-weight", "long-mismatched-line",
-        "long-trailing-content", "huge-vertex-count", "huge-negative-count"])
+        "long-trailing-content", "huge-vertex-count", "huge-negative-count",
+        "weight-with-underscore", "weight-with-plus", "weight-in-arabic-digits",
+        "fullwidth-vertex", "header-with-underscore", "cover-with-plus", "demand-with-plus"])
 def test_file_errors_exit_2_with_line(capsys, tmp_path, argv, files, line):
     paths = {"out": str(tmp_path / "out.txt")}
     for name, text in files.items():

@@ -1,6 +1,7 @@
 """The test configuration and the source checks no linter makes here: a
 failing property test is reported like any other failure, the tests after it
-still run, and no module imports a name it never uses."""
+still run, no module imports a name it never uses, and no top-level
+definition of the package goes unused."""
 
 from __future__ import annotations
 
@@ -59,3 +60,32 @@ def test_no_module_imports_a_name_it_never_uses(module):
               for c in ast.walk(a) if isinstance(c, ast.Constant) and isinstance(c.value, str)]
     used = {n.id for root in [tree, *quoted] for n in ast.walk(root) if isinstance(n, ast.Name)}
     assert {name: line for name, line in imported.items() if name not in used} == {}
+
+
+def _mentions(node: ast.AST) -> set[str]:
+    """The names ``node`` mentions in code: bare, after a dot, or imported."""
+    return {n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute)
+            else n.name for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute, ast.alias))}
+
+
+def _defined(stmt: ast.stmt) -> list[str]:
+    """The names a top-level statement defines: a function, class or constant."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def test_every_top_level_definition_is_used():
+    """Each top-level function, class and constant of the package (dunders
+    aside) is mentioned by some other top-level statement of ``src`` or the
+    tests: a helper whose last caller is gone fails here."""
+    sources = [*PACKAGE.glob("*.py"), *(PYPROJECT.parent / "tests").glob("*.py")]
+    statements = [(path, stmt, _mentions(stmt)) for path in sources
+                  for stmt in ast.parse(path.read_text(encoding="utf-8")).body]
+    unused = [f"{path.name}:{stmt.lineno} {name}"
+              for path, stmt, _ in statements if path.parent == PACKAGE
+              for name in _defined(stmt) if not name.startswith("__")
+              and not any(name in m for _, other, m in statements if other is not stmt)]
+    assert unused == []

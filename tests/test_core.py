@@ -64,6 +64,10 @@ class TestParsing:
         ("2 1\n0 1", "expected 'u v w'"),
         ("2 1\n0 1 x", "malformed weight"),
         ("2 1\n0 1 1/0", "malformed weight"),
+        ("2 1\n0 1 1/-2", "malformed weight '1/-2'"),
+        ("2 1\n0 1 -3", "nonpositive weight -3"),
+        ("3 -1", "count 'm' must be nonnegative"),
+        ("2 1\n0 1 " + "\u0663" * 5000, "malformed weight"),
         ("not a header", "expected header"),
         ("", "empty"),
         ("2 2\n0 1 1", "expected 2 edge lines"),
@@ -395,6 +399,22 @@ def test_excesses_with_an_all_zero_row():
     assert witness.nontop == ((0, 1), (0, 2), (2, 3))
 
 
+@settings(max_examples=150, deadline=None)
+@given(helpers.small_graphs(), st.data())
+def test_a_check_filters_the_kept_map_of_its_nontop_cover(g, data):
+    """Each check equals the search of G minus the non-top cover b over the
+    edges outside the top cover a, and the same answer comes back when the
+    pair is asked again after other pairs have filled other maps."""
+    subsets = st.frozensets(st.sampled_from(g.edges())) if g.m else st.just(frozenset())
+    pairs = data.draw(st.lists(st.tuples(subsets, subsets), min_size=1, max_size=4))
+    answers = []
+    for a, b in pairs:
+        searched = excesses(g.without_edges(b), [(e, w) for e, w in g.edge_items() if e not in a])
+        answers.append(find_uncovered_cycle(g, a, b))
+        assert answers[-1] == core._witness(g, searched, b)
+    assert [find_uncovered_cycle(g, a, b) for a, b in pairs] == answers
+
+
 def _edge_lists(draw, max_n=7):
     """``(n, edges)``: int and Fraction weights, each pair in either
     orientation, the list in any order."""
@@ -562,8 +582,8 @@ class TestDerivedGraphs:
 
 
 class TestCheckMemo:
-    """A graph keeps the answer of each cycle check and its excess map; a
-    derived graph is a new object and asks afresh."""
+    """A graph keeps one excess map per non-top cover that a cycle check has
+    asked about; a derived graph is a new object and asks afresh."""
 
     @staticmethod
     def _count(monkeypatch) -> tuple[list, list]:
@@ -586,19 +606,31 @@ class TestCheckMemo:
         return calls, passes
 
     @pytest.mark.parametrize("kind, n_calls, n_passes", [
-        (ProblemKind.GMVD, 5, 4), (ProblemKind.GMVID, 3, 3), (ProblemKind.GMVDD, 1, 2)])
+        (ProblemKind.GMVD, 5, 3), (ProblemKind.GMVID, 3, 3), (ProblemKind.GMVDD, 1, 2)])
     def test_pipeline_runs_each_distinct_check_once(self, monkeypatch, kind,
                                                     n_calls, n_passes):
         """The greedy or gmvdd and the repair's first pass share the input's
         map, the repaired graph's map serves the repair's confirm and the
         verdict, and the moves recheck edges without a whole-graph pass, so
-        the totals do not grow with the moves."""
+        the totals do not grow with the moves.  This gmvd split has an empty
+        decrease half, so the cover check and the split's final check both
+        search G - S and share its map."""
         g = helpers.rational_instance(n=7, violations=3, seed=123)
         calls, passes = self._count(monkeypatch)
         result = run_pipeline(g, kind, repair=True)
         assert result.steps > 1 and result.verdicts["all_ok"]
+        assert kind is not ProblemKind.GMVD or not result.split.s_minus
         assert len(calls) == n_calls
         assert len(passes) == n_passes
+
+    def test_a_decrease_half_gives_the_split_check_its_own_pass(self, monkeypatch):
+        """With a non-empty decrease half S-, the split's final check searches
+        G - S+, not G - S: one pass more than with an empty one."""
+        g = helpers.rational_instance(n=7, violations=3, seed=100)
+        calls, passes = self._count(monkeypatch)
+        result = run_pipeline(g, ProblemKind.GMVD, repair=True)
+        assert result.steps > 1 and result.verdicts["all_ok"] and result.split.s_minus
+        assert (len(calls), len(passes)) == (5, 4)
 
     def test_a_derived_graph_starts_with_no_answers(self, monkeypatch):
         g = Graph(3, [(0, 1, 1), (1, 2, 1), (0, 2, 2)])

@@ -5,7 +5,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, settings
 
 from metric_mend import oracle
 from metric_mend.core import CoverKind, Graph, validate_cover
@@ -103,20 +103,6 @@ class TestEnumeration:
             assert len(enumerate_unbalanced_cycles(gen_random(7, 0.6, 10, 2, seed))) == len(built)
 
 
-@st.composite
-def small_graphs(draw, max_n=8):
-    """Graphs on up to eight vertices with int and Fraction weights; a drawn
-    edge subset leaves many of them disconnected or with isolated vertices."""
-    n = draw(st.integers(1, max_n))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    chosen = sorted(draw(st.sets(st.sampled_from(pairs)))) if pairs else []
-    weights = draw(st.lists(
-        st.one_of(st.integers(1, 9),
-                  st.fractions(min_value=Fraction(1, 4), max_value=9, max_denominator=4)),
-        min_size=len(chosen), max_size=len(chosen)))
-    return Graph(n, [(u, v, w) for (u, v), w in zip(chosen, weights)])
-
-
 def _outcome(enumerate_, g: Graph, limit: int, used: int):
     budget = WorkBudget(limit, used)
     try:
@@ -127,7 +113,7 @@ def _outcome(enumerate_, g: Graph, limit: int, used: int):
 
 
 @settings(max_examples=150, deadline=None)
-@given(small_graphs())
+@given(helpers.small_graphs())
 @example(Graph(8, [(0, 1, 1), (1, 2, 1), (0, 2, 5), (4, 5, 2), (5, 6, 2), (4, 6, 9)]))
 @example(Graph(6, [(1, 2, Fraction(1, 2)), (2, 4, Fraction(1, 3)), (1, 4, 1), (3, 5, 2)]))
 @example(Graph(4, [(0, 1, 1), (1, 2, 1), (0, 2, 2), (2, 3, 1), (0, 3, 3)]))  # tight cycles
