@@ -49,7 +49,6 @@ from .repair import (
     LiftResult,
     RepairOutcome,
     SplitCover,
-    export_lp,
     lift_zero_edges,
     repair_weights,
     split_cover,
@@ -109,7 +108,6 @@ __all__ = [
     "count_top",
     "enumerate_unbalanced_cycles",
     "exact_min_cover",
-    "export_lp",
     "find_uncovered_cycle",
     "format_weight",
     "gen_random",

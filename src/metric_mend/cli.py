@@ -1,11 +1,12 @@
 """Command-line front end: solve, check, reduce, generate, oracle, bench.
 
-Every command re-verifies its own output before reporting success, and
-reports are emitted either as human-readable text or as JSON (``--format
-machine``).  ``solve`` and ``bench`` format what :func:`run_pipeline`, the
-one solve -> split -> repair -> verify chain, returns.  Exit codes: 0
-verified success, 1 negative verdict, 2 input error (a file, a parameter or
-an oracle budget), 3 any internal failure.
+Every command re-verifies its own output before reporting success and
+returns its report with its exit code; :func:`main` renders every report,
+either as human-readable text or as JSON (``--format machine``).  ``solve``
+and ``bench`` format what :func:`run_pipeline`, the one solve -> split ->
+repair -> verify chain, returns.  Exit codes: 0 verified success, 1 negative
+verdict, 2 input error (a file, a parameter or an oracle budget), 3 any
+internal failure.
 """
 
 from __future__ import annotations
@@ -65,13 +66,6 @@ def _read_text(path: str) -> str:
                                   len(text_lines(before + "x"))) from None
 
 
-def _emit(report: dict, fmt: str) -> None:
-    if fmt == "machine":
-        print(json.dumps(report, sort_keys=True, indent=2))
-    else:
-        _emit_text(report)
-
-
 def _emit_text(report: dict, indent: str = "") -> None:
     for key, value in report.items():
         if isinstance(value, dict):
@@ -115,17 +109,18 @@ class PipelineResult:
 def run_pipeline(g: Graph, kind: ProblemKind, *, repair: bool) -> PipelineResult:
     """Solve, then with ``repair`` split and repair, then verify.
 
-    gmvd and gmvid use the greedy cover, whose first layer is the input's
-    deficit; gmvd splits it and gmvid repairs it as an increase-only half.
-    gmvdd sets each edge heavier than its endpoint distance to that distance:
-    the exact cover, its repair and the deficit, from one Dijkstra run per
-    lower edge endpoint and no n x n table.  Every stage, the verdicts
-    included, runs on ``g`` scaled to integer weights by the least common
-    denominator L, whose sums and comparisons are those of ``g`` times L;
-    deficits and weights are divided by L exactly on the way out.  The
-    verdicts are recomputed from the outputs themselves.  The repair creates
-    no zero weight and nothing lifts one afterwards, so a zero in the final
-    graph fails verification.
+    gmvd and gmvid use the greedy cover and one repair: gmvd splits the
+    cover into halves, and gmvid's halves are the cover as the increase half
+    and an empty decrease half.  gmvdd sets each edge heavier than its
+    endpoint distance to that distance: the exact cover and its repair, from
+    one Dijkstra run per lower edge endpoint and no n x n table.  Every kind
+    reads the input's deficit from the kept excess map its solver filled.
+    Every stage, the verdicts included, runs on ``g`` scaled to integer
+    weights by the least common denominator L, whose sums and comparisons
+    are those of ``g`` times L; deficits and weights are divided by L exactly
+    on the way out.  The verdicts are recomputed from the outputs themselves.
+    The repair creates no zero weight and nothing lifts one afterwards, so a
+    zero in the final graph fails verification.
     """
     t0 = time.perf_counter()
     gs, scale = g.integer_scaled()
@@ -134,29 +129,25 @@ def run_pipeline(g: Graph, kind: ProblemKind, *, repair: bool) -> PipelineResult
         cover = tuple(sorted(fixes))
         roles = (Role.DECREASE,) * len(cover)
         layers: tuple = ()
-        deficit = max(excess_map(gs).values(), default=0)
     else:
         solution = greedy_solve(gs, kind)
         cover, roles, layers = solution.edges, solution.roles, solution.layer_deficits
-        deficit = layers[0] if layers else 0
+    deficit = max(excess_map(gs).values(), default=0)
     t1 = time.perf_counter()
 
     split = final = None
     steps = 0
-    if repair:
-        if kind is ProblemKind.GMVDD:
-            final = Graph(gs.n, [(u, v, fixes.get((u, v), w)) for (u, v), w in gs.edge_items()])
-            steps = len(cover)
+    if repair and kind is ProblemKind.GMVDD:
+        final = Graph(gs.n, [(u, v, fixes.get((u, v), w)) for (u, v), w in gs.edge_items()])
+        steps = len(cover)
+    elif repair:
+        if kind is ProblemKind.GMVD:
+            halves = split = split_cover(gs, cover)
         else:
-            if kind is ProblemKind.GMVD:
-                split = split_cover(gs, cover)
-                roles = tuple(Role.INCREASE if e in split.s_plus else Role.DECREASE
-                              for e in cover)
-                outcome = repair_weights(gs, split)
-            else:
-                outcome = repair_weights(
-                    gs, SplitCover(s_plus=frozenset(cover), s_minus=frozenset()))
-            final, steps = outcome.graph, outcome.steps
+            halves = SplitCover(s_plus=frozenset(cover), s_minus=frozenset())
+        roles = tuple(Role.INCREASE if e in halves.s_plus else Role.DECREASE for e in cover)
+        outcome = repair_weights(gs, halves)
+        final, steps = outcome.graph, outcome.steps
     unresolved = () if final is None else tuple(sorted(
         e for e, w in final.edge_items() if w == 0))
     unscaled = None if final is None else final.unscaled(scale)
@@ -211,7 +202,7 @@ def _verdicts(g: Graph, kind: ProblemKind, cover: tuple[Edge, ...], roles: tuple
     return verdicts
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args) -> tuple[dict, int]:
     if args.out and not args.repair:
         raise InstanceFormatError("--out writes the repaired instance and needs --repair")
     t0 = time.perf_counter()
@@ -243,8 +234,7 @@ def cmd_solve(args) -> int:
         if args.out and result.verdicts["all_ok"]:  # never write an unverified instance
             Path(args.out).write_text(serialize_instance(result.final) + "\n", encoding="utf-8")
             report["repair"]["output"] = args.out
-    _emit(report, args.format)
-    return EXIT_OK if result.verdicts["all_ok"] else EXIT_INTERNAL
+    return report, EXIT_OK if result.verdicts["all_ok"] else EXIT_INTERNAL
 
 
 def _cycle_json(c: CycleWitness) -> dict:
@@ -252,7 +242,7 @@ def _cycle_json(c: CycleWitness) -> dict:
             "deficit": format_weight(c.deficit)}
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> tuple[dict, int]:
     g = parse_instance(_read_text(args.instance))
     cover = parse_cover(_read_text(args.cover), g)
     kind = CoverKind(args.cover_kind)
@@ -266,11 +256,10 @@ def cmd_check(args) -> int:
     }
     if witness is not None:
         report["witness"] = _cycle_json(witness)
-    _emit(report, args.format)
-    return EXIT_OK if witness is None else EXIT_VERDICT
+    return report, EXIT_OK if witness is None else EXIT_VERDICT
 
 
-def cmd_reduce(args) -> int:
+def cmd_reduce(args) -> tuple[dict, int]:
     text = _read_text(args.source)
     budget = WorkBudget(args.oracle_budget)
 
@@ -319,11 +308,10 @@ def cmd_reduce(args) -> int:
         }, sort_keys=True, indent=2), encoding="utf-8")
         report.update(output=args.out, back_map=str(sidecar))
     report.update(instance=_instance_summary(artifact.instance), verification=verification)
-    _emit(report, args.format)
-    return EXIT_INTERNAL if refuted else EXIT_OK
+    return report, EXIT_INTERNAL if refuted else EXIT_OK
 
 
-def cmd_generate(args) -> int:
+def cmd_generate(args) -> tuple[dict, int]:
     g = reductions.gen_random(args.n, args.density, args.weight_max,
                               args.violations, args.seed)
     if args.out:
@@ -336,11 +324,10 @@ def cmd_generate(args) -> int:
     }
     if not args.out:
         report["instance_text"] = serialize_instance(g)
-    _emit(report, args.format)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args) -> tuple[dict, int]:
     g = parse_instance(_read_text(args.instance))
     budget = WorkBudget(args.oracle_budget)
     inventory = enumerate_unbalanced_cycles(g, budget=budget)
@@ -361,11 +348,10 @@ def cmd_oracle(args) -> int:
             "size": solution.size,
             "edges": [list(e) for e in solution.edges],
         }
-    _emit(report, args.format)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
-def cmd_bench(args) -> int:
+def cmd_bench(args) -> tuple[dict, int]:
     if args.trials < 0:
         raise InstanceFormatError(f"trials must be nonnegative, got {args.trials}")
     kind = ProblemKind(args.kind)
@@ -413,8 +399,7 @@ def cmd_bench(args) -> int:
             "mean_size": (sum(r["size"] for r in trials) / len(trials)) if trials else None,
         },
     }
-    _emit(report, args.format)
-    return EXIT_OK if all(r["verified"] for r in trials) else EXIT_INTERNAL
+    return report, EXIT_OK if all(r["verified"] for r in trials) else EXIT_INTERNAL
 
 
 @functools.cache
@@ -432,6 +417,11 @@ def build_parser() -> argparse.ArgumentParser:
     budget = argparse.ArgumentParser(add_help=False)
     budget.add_argument("--oracle-budget", type=int, default=DEFAULT_BUDGET,
                         help="work cap for the exhaustive oracle; 0 allows no oracle work")
+    gen = argparse.ArgumentParser(add_help=False)  # gen_random's parameters but n
+    gen.add_argument("--density", type=float, default=0.5)
+    gen.add_argument("--weight-max", type=int, default=10)
+    gen.add_argument("--violations", type=int, default=1)
+    gen.add_argument("--seed", type=int, default=0)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", parents=[common],
@@ -459,13 +449,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser("generate", parents=[common],
+    p = sub.add_parser("generate", parents=[common, gen],
                        help="random metric instance with planted violations")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--density", type=float, default=0.5)
-    p.add_argument("--weight-max", type=int, default=10)
-    p.add_argument("--violations", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_generate)
 
@@ -476,15 +462,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cover-kind", choices=("regular", "nontop"), default="regular")
     p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("bench", parents=[common, budget],
+    p = sub.add_parser("bench", parents=[common, budget, gen],
                        help="generate, solve, and cross-check a family of instances")
     p.add_argument("--kind", choices=("gmvd", "gmvid"), default="gmvd")
     p.add_argument("--n", type=int, default=6)
-    p.add_argument("--density", type=float, default=0.5)
-    p.add_argument("--weight-max", type=int, default=10)
-    p.add_argument("--violations", type=int, default=1)
     p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--repair", action="store_true")
     p.set_defaults(func=cmd_bench)
     return parser
@@ -493,7 +475,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        report, code = args.func(args)
+        if args.format == "machine":
+            print(json.dumps(report, sort_keys=True, indent=2))
+        else:
+            _emit_text(report)
+        return code
     except (InstanceFormatError, OSError, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -33,18 +33,15 @@ from .core import (
     INFINITY,
     InternalConsistencyError,
     Weight,
-    _check_edge_subset,
     _witness,
     canonical_edge,
     dijkstra,
     excess_map,
     excesses,
     find_uncovered_cycle,
-    format_weight,
     is_metric,
     validate_cover,
 )
-from .solver import ProblemKind
 
 
 class CoverInvalidError(ValueError):
@@ -230,45 +227,3 @@ def lift_zero_edges(g: Graph) -> LiftResult:
             break
     unresolved = frozenset(e for e in work.edges() if work.weight(*e) == 0)
     return LiftResult(graph=work, lifted=lifted, unresolved=unresolved)
-
-
-def export_lp(g: Graph, cover: Iterable[Edge], kind: ProblemKind) -> str:
-    """Emit the weight-feasibility linear program as deterministic text.
-
-    Variables a_<i>_<j> (i < j) cover all vertex pairs.  Edges outside the
-    cover are fixed to their weight; free pairs get a lower bound of 0, or of
-    the current weight for cover edges in the increase-only variant.  Every
-    triangle inequality over distinct triples appears once per orientation.
-    The program is a pure feasibility check (objective: minimize 0), printed
-    with exact rationals.
-    """
-    if kind not in (ProblemKind.GMVD, ProblemKind.GMVID):
-        raise ValueError("the feasibility program covers the GMVD and GMVID problems")
-    s = _check_edge_subset(g, cover, "cover")
-
-    def var(i: int, j: int) -> str:
-        i, j = canonical_edge(i, j)
-        return f"a_{i}_{j}"
-
-    lines = ["minimize 0", "subject to"]
-    for i in range(g.n):
-        for j in range(i + 1, g.n):
-            for k in range(j + 1, g.n):
-                for (x, y), (p, q), (r, t) in (((i, j), (i, k), (j, k)),
-                                               ((i, k), (i, j), (j, k)),
-                                               ((j, k), (i, j), (i, k))):
-                    lines.append(
-                        f"tri_{x}_{y}_via_{(set((i, j, k)) - {x, y}).pop()}:"
-                        f" {var(x, y)} - {var(*(p, q))} - {var(*(r, t))} <= 0")
-    lines.append("bounds")
-    for i in range(g.n):
-        for j in range(i + 1, g.n):
-            pair = (i, j)
-            if g.has_edge(i, j) and pair not in s:
-                lines.append(f"{var(i, j)} = {format_weight(g.weight(i, j))}")
-            elif kind is ProblemKind.GMVID and pair in s:
-                lines.append(f"{var(i, j)} >= {format_weight(g.weight(i, j))}")
-            else:
-                lines.append(f"{var(i, j)} >= 0")
-    lines.append("end")
-    return "\n".join(lines) + "\n"

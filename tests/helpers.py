@@ -1,4 +1,4 @@
-"""Shared test machinery: independent verifiers, corpus builders, LP checking.
+"""Shared test machinery: independent verifiers and corpus builders.
 
 Everything here is deliberately written against the definitions, not against
 the library's fast code paths, so the tests stay a second, independent route
@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import heapq
 import random
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -383,121 +382,3 @@ def build_corpus(count: int = 500) -> list[CorpusEntry]:
             g = rational_instance(n, violations, seed)
         entries.append(CorpusEntry(name=f"corpus[{i}]", graph=g, violations=violations))
     return entries
-
-
-# ---------------------------------------------------------------------------
-# Exact LP feasibility (parser for the exported format + phase-1 simplex)
-
-
-_TERM = re.compile(r"([+-]?)\s*(a_\d+_\d+)")
-
-
-def parse_lp(text: str):
-    """Parse the exported feasibility program.
-
-    Returns (rows, fixed, lower): rows are (coeff dict, rhs) meaning
-    sum coeff*x <= rhs; fixed maps variables to exact values; lower maps
-    variables to lower bounds.
-    """
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    assert lines[0] == "minimize 0"
-    assert lines[1] == "subject to"
-    assert lines[-1] == "end"
-    split = lines.index("bounds")
-    rows = []
-    for line in lines[2:split]:
-        body = line.split(":", 1)[1] if ":" in line else line
-        lhs, rhs = body.split("<=")
-        coeffs: dict[str, Fraction] = {}
-        for sign, var in _TERM.findall(lhs):
-            coeffs[var] = coeffs.get(var, Fraction(0)) + (Fraction(-1) if sign == "-" else Fraction(1))
-        rows.append((coeffs, _parse_rational(rhs.strip())))
-    fixed: dict[str, Fraction] = {}
-    lower: dict[str, Fraction] = {}
-    for line in lines[split + 1:-1]:
-        if ">=" in line:
-            var, bound = line.split(">=")
-            lower[var.strip()] = _parse_rational(bound.strip())
-        else:
-            var, value = line.split("=")
-            fixed[var.strip()] = _parse_rational(value.strip())
-    return rows, fixed, lower
-
-
-def _parse_rational(token: str) -> Fraction:
-    if "/" in token:
-        num, den = token.split("/")
-        return Fraction(int(num), int(den))
-    return Fraction(int(token))
-
-
-def lp_feasible(text: str) -> bool:
-    """Exact feasibility of an exported program via phase-1 simplex.
-
-    Fixed variables are substituted, lower bounds shifted to zero, and the
-    remaining system {Ay <= b, y >= 0} is tested with a single artificial
-    variable and Bland's rule, entirely in rational arithmetic.
-    """
-    rows, fixed, lower = parse_lp(text)
-    free = sorted(set(lower) - set(fixed))
-    index = {v: i for i, v in enumerate(free)}
-    system = []
-    for coeffs, rhs in rows:
-        vec = [Fraction(0)] * len(free)
-        for var, c in coeffs.items():
-            if var in fixed:
-                rhs -= c * fixed[var]
-            else:
-                rhs -= c * lower[var]
-                vec[index[var]] += c
-        system.append((vec, rhs))
-    return _phase_one_feasible(system, len(free))
-
-
-def _phase_one_feasible(system, n_vars: int) -> bool:
-    m = len(system)
-    if all(rhs >= 0 for _, rhs in system):
-        return True
-    art = n_vars            # artificial column
-    total = n_vars + 1 + m  # originals, artificial, slacks
-    tableau = []
-    for i, (vec, rhs) in enumerate(system):
-        row = vec + [Fraction(0)] * (1 + m) + [rhs]
-        row[art] = Fraction(-1)
-        row[art + 1 + i] = Fraction(1)
-        tableau.append(row)
-    basis = [art + 1 + i for i in range(m)]
-    cost = [Fraction(0)] * (total + 1)
-    cost[art] = Fraction(1)  # minimize the artificial variable
-
-    def pivot(r: int, c: int) -> None:
-        piv = tableau[r][c]
-        tableau[r] = [x / piv for x in tableau[r]]
-        for i in range(m):
-            if i != r and tableau[i][c] != 0:
-                f = tableau[i][c]
-                tableau[i] = [a - f * b for a, b in zip(tableau[i], tableau[r])]
-        if cost[c] != 0:
-            f = cost[c]
-            for j in range(total + 1):
-                cost[j] -= f * tableau[r][j]
-        basis[r] = c
-
-    start = min(range(m), key=lambda i: (tableau[i][total], i))
-    pivot(start, art)  # all right-hand sides become nonnegative
-
-    while True:
-        entering = next((j for j in range(total) if cost[j] < 0), None)
-        if entering is None:
-            break
-        candidates = [(tableau[i][total] / tableau[i][entering], basis[i], i)
-                      for i in range(m) if tableau[i][entering] > 0]
-        if not candidates:  # cannot happen: the objective is bounded below by 0
-            raise AssertionError("phase-1 objective unbounded")
-        _, _, leaving = min(candidates)
-        pivot(leaving, entering)
-
-    value = Fraction(0)
-    if art in basis:
-        value = tableau[basis.index(art)][total]
-    return value == 0

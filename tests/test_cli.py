@@ -3,6 +3,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -376,6 +377,47 @@ def test_text_format_smoke(capsys, k3_file):
     assert main(["solve", k3_file, "--kind", "gmvd"]) == 0
     out = capsys.readouterr().out
     assert "cover_valid: True" in out
+
+
+@pytest.mark.parametrize("argv, path, count", [
+    (["bench", "--n", "5", "--trials", "2", "--seed", "3"], ["trials"], 2),
+    (["oracle", "{k3}", "--what", "inventory"], ["inventory", "cycles"], 1)])
+def test_text_format_renders_a_list_as_sorted_json_lines(capsys, k3_file, argv, path, count):
+    """A list of dicts renders as its key's header, then one JSON line with
+    sorted keys per item, indented one level below the header."""
+    def untimed(item):
+        return {k: v for k, v in item.items() if not k.endswith("_s")}
+
+    argv = [a.format(k3=k3_file) for a in argv]
+    _, report = run_json(capsys, argv)
+    items = report
+    for key in path:
+        items = items[key]
+    assert main(argv + ["--format", "text"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    indent = "  " * len(path)
+    start = lines.index(f"{indent[2:]}{path[-1]}:") + 1
+    body = [ln for ln in lines[start:start + count + 1] if ln.startswith(indent + "{")]
+    assert len(items) == len(body) == count
+    for line, item in zip(body, items):
+        parsed = json.loads(line)
+        assert line == indent + json.dumps(parsed, sort_keys=True)
+        assert untimed(parsed) == untimed(item)
+
+
+def test_readme_synopsis_matches_the_parser():
+    """Each subcommand's line in README's command-line block names exactly
+    the ``--`` options its parser takes, ``--help`` aside."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    documented = {line.split()[1]: set(re.findall(r"--[a-z][a-z-]*", line))
+                  for line in block.splitlines() if line.startswith("metric-mend ")}
+    (commands,) = [a.choices for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    parsed = {name: {o for a in sub._actions for o in a.option_strings
+                     if o.startswith("--")} - {"--help"}
+              for name, sub in commands.items()}
+    assert documented == parsed
 
 
 class TestOracleBudget:

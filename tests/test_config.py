@@ -1,7 +1,8 @@
 """The test configuration and the source checks no linter makes here: a
 failing property test is reported like any other failure, the tests after it
-still run, no module imports a name it never uses, and no top-level
-definition of the package goes unused."""
+still run, no module imports a name it never uses, no top-level
+definition of the package goes unused, and only the command line's renderer
+prints."""
 
 from __future__ import annotations
 
@@ -89,3 +90,22 @@ def test_every_top_level_definition_is_used():
               for name in _defined(stmt) if not name.startswith("__")
               and not any(name in m for _, other, m in statements if other is not stmt)]
     assert unused == []
+
+
+def _print_callers(node: ast.AST, where: str, found: set[str]) -> set[str]:
+    """The innermost named definitions under ``node`` that call ``print``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call) and getattr(child.func, "id", None) == "print":
+            found.add(where)
+        named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        _print_callers(child, f"{where}.{child.name}" if named else where, found)
+    return found
+
+
+def test_only_the_cli_renderer_prints():
+    """Reports are rendered in one place: in the package only ``cli.main``
+    and the text renderer it calls write to standard output."""
+    found: set[str] = set()
+    for path in PACKAGE.glob("*.py"):
+        _print_callers(ast.parse(path.read_text(encoding="utf-8")), path.stem, found)
+    assert found == {"cli.main", "cli._emit_text"}

@@ -15,14 +15,12 @@ from metric_mend.core import (
     dijkstra,
     find_uncovered_cycle,
     is_metric,
-    validate_cover,
 )
 from metric_mend.oracle import exact_min_cover
 from metric_mend.reductions import gen_random
 from metric_mend.repair import (
     CoverInvalidError,
     SplitCover,
-    export_lp,
     lift_zero_edges,
     repair_weights,
     split_cover,
@@ -298,65 +296,6 @@ class TestLiftZeroEdges:
         g = helpers.graph_with_zeros(4, [(0, 1, 0), (1, 2, 0), (0, 2, 0), (2, 3, 5)])
         result = lift_zero_edges(g)
         assert is_metric(result.graph)
-
-
-class TestExportLp:
-    def test_k3_fixture_shape(self, k3):
-        text = export_lp(k3, {(0, 2)}, ProblemKind.GMVD)
-        lines = text.splitlines()
-        assert lines[0] == "minimize 0"
-        assert "a_0_1 = 1" in lines
-        assert "a_1_2 = 1" in lines
-        assert "a_0_2 >= 0" in lines
-        assert sum(1 for ln in lines if "<=" in ln) == 3
-
-    def test_k3_cover_feasible(self, k3):
-        assert helpers.lp_feasible(export_lp(k3, {(0, 2)}, ProblemKind.GMVD))
-
-    def test_k3_empty_cover_infeasible(self, k3):
-        assert not helpers.lp_feasible(export_lp(k3, (), ProblemKind.GMVD))
-
-    def test_single_edge_trivially_feasible(self):
-        g = Graph(3, [(0, 1, 2)])
-        assert helpers.lp_feasible(export_lp(g, (), ProblemKind.GMVD))
-
-    def test_increase_only_bounds(self, k3):
-        text = export_lp(k3, {(0, 1)}, ProblemKind.GMVID)
-        assert "a_0_1 >= 1" in text.splitlines()
-        assert helpers.lp_feasible(text)
-        # the heavy edge alone is not a non-top cover: its lower bound blocks repair
-        assert not helpers.lp_feasible(export_lp(k3, {(0, 2)}, ProblemKind.GMVID))
-
-    def test_triangle_constraint_count(self):
-        g = helpers.rational_instance(n=5, violations=1, seed=4)
-        text = export_lp(g, (), ProblemKind.GMVD)
-        rows = [ln for ln in text.splitlines() if "<=" in ln]
-        assert len(rows) == 5 * 4 * 3 // 2
-
-    def test_deterministic(self, k3):
-        assert export_lp(k3, {(0, 2)}, ProblemKind.GMVD) == \
-            export_lp(k3, {(0, 2)}, ProblemKind.GMVD)
-
-    def test_non_edge_cover_rejected(self):
-        g = Graph(3, [(0, 1, 2), (1, 2, 2)])
-        with pytest.raises(ValueError, match=r"cover contains non-edge \(0, 2\)"):
-            export_lp(g, {(2, 0)}, ProblemKind.GMVD)
-
-    def test_feasibility_tracks_cover_validity(self):
-        rng = random.Random(17)
-        checked_valid = checked_invalid = 0
-        for idx in range(40):
-            g = helpers.rational_instance(n=4 + idx % 2, violations=idx % 4,
-                                          seed=9300 + idx)
-            edges = g.edges()
-            cover = frozenset(e for e in edges if rng.random() < 0.35)
-            for kind in (ProblemKind.GMVD, ProblemKind.GMVID):
-                valid = validate_cover(g, cover, kind.cover_kind) is None
-                feasible = helpers.lp_feasible(export_lp(g, cover, kind))
-                assert feasible == valid
-                checked_valid += valid
-                checked_invalid += not valid
-        assert checked_valid and checked_invalid  # both branches exercised
 
 
 class TestEndToEnd:
