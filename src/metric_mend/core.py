@@ -516,9 +516,16 @@ def excesses(h: Graph, edges: Iterable[tuple[Edge, Weight]]) -> dict[Edge, Weigh
 def excess_map(g: Graph, nontop_cover: frozenset[Edge] = frozenset()) -> dict[Edge, Weight]:
     """:func:`excesses` of every edge of ``g`` over distances in ``g`` without
     the checked edge set ``nontop_cover``: computed on first ask and kept by
-    the graph, so callers read it and never change it."""
+    the graph, so callers read it and never change it.
+
+    Removing edges only lengthens distances, so an edge violated in ``g``
+    without the cover is violated in ``g``: a non-empty cover's search asks
+    only the edges of the graph's own map."""
     if nontop_cover not in g._excess:
-        g._excess[nontop_cover] = excesses(g.without_edges(nontop_cover), g._weights.items())
+        items = g._weights.items()
+        if nontop_cover:
+            items = [(e, g._weights[e]) for e in excess_map(g)]
+        g._excess[nontop_cover] = excesses(g.without_edges(nontop_cover), items)
     return g._excess[nontop_cover]
 
 

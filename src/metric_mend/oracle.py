@@ -1,13 +1,15 @@
 """Exponential-time ground truth for small instances.
 
-Exhaustive unbalanced-cycle enumeration, brute-force minimum covers, and
-one brute-force minimum length-bounded cut, which at bound n - 1 is the
-minimum multicut.  Everything here is the independent second route against
-which the polynomial machinery is verified; none of it consults the fast
-counting or checking code paths.  A cover is decided against the enumerated
-cycle inventory, never by the polynomial checker `find_uncovered_cycle` that
-the greedy uses on itself, so a fault in that checker cannot move the greedy
-and its ground truth together.
+Exhaustive unbalanced-cycle enumeration (one weight-bounded path search per
+top edge, exponential in the worst case and bounded by a work budget),
+brute-force minimum covers, and one brute-force minimum length-bounded cut,
+which at bound n - 1 is the minimum multicut.  Everything here is the
+independent second route against which the polynomial machinery is
+verified; none of it consults the fast counting or checking code paths.
+A cover is decided against the enumerated cycle inventory, never by the
+polynomial checker `find_uncovered_cycle` that the greedy uses on itself,
+so a fault in that checker cannot move the greedy and its ground truth
+together.
 """
 
 from __future__ import annotations
@@ -80,17 +82,34 @@ def _witness_from_cycle(g: Graph, vertices: list[int]) -> CycleWitness:
                         deficit=2 * weights[top_idx] - sum(weights))
 
 
+def _canonical(cycle: list[int]) -> list[int]:
+    """``cycle`` rotated to start at its smallest vertex and turned so that
+    the second vertex is smaller than the last: one order per cycle."""
+    i = cycle.index(min(cycle))
+    cycle = cycle[i:] + cycle[:i]
+    if cycle[1] > cycle[-1]:
+        cycle[1:] = cycle[:0:-1]
+    return cycle
+
+
 def enumerate_unbalanced_cycles(g: Graph, budget: WorkBudget | None = None) -> CycleInventory:
     """Enumerate every simple cycle with positive deficit, each exactly once.
 
-    Canonical traversal: the root is the cycle's smallest vertex and the
-    direction is fixed by requiring the second vertex to be smaller than the
-    last.  Intended for small n; the budget is charged one unit per
+    An unbalanced cycle has one heaviest edge, its top e = (u, v), and the
+    rest of it is a simple u-v path lighter than w(e).  So the search runs
+    once per edge, in edge order, as a depth-first walk over the simple
+    u-v paths of G - e.  It extends a path only while the path's length
+    plus v's lightest edge to a vertex other than u stays below w(e), and
+    it records a cycle when it reaches v with length below w(e); every
+    path edge is then lighter than w(e), so each cycle is found once, from
+    its top.  A found cycle goes to its witness in canonical order (the
+    smallest vertex first, the second vertex below the last).
+
+    The worst case is still exponential; the budget is charged one unit per
     neighbour the search examines and fails fast on oversized inputs.  The
     search keeps its own stack of neighbor iterators, one per path vertex,
-    so path length is not bounded by the interpreter's recursion limit, and
-    the path's edge weights beside it: a closed cycle is unbalanced when its
-    heaviest edge outweighs the rest, and only then is its witness built.
+    beside the path's prefix lengths, so path length is not bounded by the
+    interpreter's recursion limit.
     """
     if budget is None:
         budget = WorkBudget(DEFAULT_BUDGET)
@@ -99,31 +118,31 @@ def enumerate_unbalanced_cycles(g: Graph, budget: WorkBudget | None = None) -> C
     on_path = [False] * g.n
     used, limit = budget.used, budget.limit
     try:
-        for root in range(g.n):
-            path, weights = [root], []  # weights[i] joins path[i] and path[i+1]
-            on_path[root] = True
-            pending = [iter(rows[root])]  # pending[i]: unvisited neighbors of path[i]
+        for (u, v), top in g.edge_items():
+            # a path to v ends with one of v's other edges; with none, nothing extends
+            bound = top - min((w for x, w in rows[v] if x != u), default=top)
+            path, lengths = [u], [0]  # lengths[i]: the length of path[:i + 1]
+            on_path[u] = True
+            pending = [iter(rows[u])]  # pending[i]: unvisited neighbors of path[i]
             while pending:
-                for v, w in pending[-1]:
+                length = lengths[-1]
+                for y, w in pending[-1]:
                     used += 1
                     if used > limit:
                         raise BudgetExceededError(f"work budget of {limit} exhausted")
-                    if v == root:
-                        if (len(path) >= 3 and path[1] < path[-1]
-                                and 2 * max(max(weights), w) > sum(weights) + w):
-                            found.append(_witness_from_cycle(g, path))
-                        continue
-                    if v < root or on_path[v]:
-                        continue
-                    path.append(v)
-                    weights.append(w)
-                    on_path[v] = True
-                    pending.append(iter(rows[v]))
-                    break
+                    if y == v:  # from u itself this is e
+                        if length + w < top and len(path) > 1:
+                            found.append(_witness_from_cycle(g, _canonical(path + [v])))
+                    elif length + w < bound and not on_path[y]:
+                        path.append(y)
+                        lengths.append(length + w)
+                        on_path[y] = True
+                        pending.append(iter(rows[y]))
+                        break
                 else:  # every neighbor of path[-1] tried: backtrack
                     pending.pop()
+                    lengths.pop()
                     on_path[path.pop()] = False
-                    del weights[-1:]  # no weight is left when the root pops
     finally:
         budget.used = used
 

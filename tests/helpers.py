@@ -243,10 +243,11 @@ def _reference_witness(g: Graph, vertices: list[int]) -> CycleWitness | None:
 
 
 def reference_enumeration(g: Graph, budget: WorkBudget) -> CycleInventory:
-    """The plain depth-first enumeration that ``enumerate_unbalanced_cycles``
-    must reproduce: the same roots, neighbour order and canonical direction,
-    a witness tried on every closed cycle, and ``budget.charge()`` once per
-    neighbour examined."""
+    """A second route to the inventory ``enumerate_unbalanced_cycles`` must
+    return: a plain depth-first walk over every simple cycle, each rooted at
+    its smallest vertex in the canonical direction (the second vertex below
+    the last), that tries a witness on each closed cycle and prunes by
+    nothing, with ``budget.charge()`` once per neighbour examined."""
     found = []
     on_path = [False] * g.n
     for root in range(g.n):

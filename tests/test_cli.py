@@ -15,8 +15,9 @@ import pytest
 import metric_mend
 from metric_mend import cli, core, oracle
 from metric_mend.cli import _verdicts, main, run_pipeline
-from metric_mend.core import (MAX_VERTICES, Graph, all_pairs_shortest_paths, graph_deficit,
-                              is_metric, parse_instance, serialize_instance)
+from metric_mend.core import (MAX_VERTICES, CoverKind, CycleWitness, Graph,
+                              all_pairs_shortest_paths, graph_deficit, is_metric,
+                              parse_instance, serialize_instance, validate_cover)
 from metric_mend.reductions import gen_random
 from metric_mend.repair import RepairOutcome
 from metric_mend.solver import ProblemKind, Role
@@ -239,6 +240,27 @@ class TestOracleCommand:
 
     def test_budget_exhaustion_is_input_error(self, capsys, k3_file):
         assert main(["oracle", k3_file, "--oracle-budget", "1"]) == 2
+
+    def test_default_budget_reaches_n12(self, capsys, tmp_path):
+        """n = 12, m = 42: a walk over every simple cycle would need about
+        10 M units, twice the default budget; one search per top needs far
+        fewer."""
+        g = gen_random(12, 0.6, 10, 3, 1)
+        path = tmp_path / "g.txt"
+        path.write_text(serialize_instance(g), encoding="utf-8")
+        code, report = run_json(capsys, ["oracle", str(path), "--what", "inventory"])
+        assert code == 0
+        cycles = report["inventory"]["cycles"]
+        assert len(cycles) == report["inventory"]["unbalanced_cycles"] == 8
+        for c in cycles:
+            helpers.verify_witness(g, CycleWitness(
+                top=tuple(c["top"]), nontop=tuple(tuple(e) for e in c["nontop"]),
+                deficit=Fraction(c["deficit"])))
+        code, report = run_json(capsys, ["oracle", str(path), "--what", "mincover"])
+        assert code == 0
+        cover = [tuple(e) for e in report["min_cover"]["edges"]]
+        assert len(cover) == report["min_cover"]["size"] == 3
+        assert validate_cover(g, cover, CoverKind.REGULAR) is None
 
     @pytest.mark.parametrize("what", [["--what", "inventory"],
                                       ["--what", "mincover", "--cover-kind", "regular"],

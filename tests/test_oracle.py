@@ -57,15 +57,39 @@ class TestEnumeration:
 
 
     @pytest.mark.parametrize("make, used", [
-        (lambda: Graph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1), (0, 2, 5)]), 38),
-        (lambda: gen_random(7, 0.6, 10, 2, 11), 315),
-        (lambda: gen_random(8, 0.5, 10, 3, 12), 1386),
+        (lambda: Graph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1), (0, 2, 5)]), 18),
+        (lambda: gen_random(7, 0.6, 10, 2, 11), 105),
+        (lambda: gen_random(8, 0.5, 10, 3, 12), 147),
     ], ids=["chorded-square", "n7", "n8"])
     def test_budget_charges_one_unit_per_extension(self, make, used):
-        # one unit per neighbour the search examines
+        # one unit per neighbour the per-top searches examine
         budget = WorkBudget(10**9)
         enumerate_unbalanced_cycles(make(), budget=budget)
         assert budget.used == used
+
+    @pytest.mark.parametrize("k, h, used", [(7, 4, 220), (8, 6, 350)])
+    def test_last_edge_bound_keeps_heavy_spokes_cheap(self, k, h, used):
+        """A unit-weight k-clique and h spoke vertices, spoke s joined to
+        clique vertices s and s + 1 by edges of weight k.  Every simple path
+        in the clique is lighter than a spoke, so a search bounded by path
+        length alone would walk them all from each spoke's clique end; one
+        that reserves the spoke's other edge, the lightest way into it,
+        stops at once."""
+        edges = [(i, j, 1) for i in range(k) for j in range(i + 1, k)]
+        for s in range(h):
+            edges += [(s, k + s, k), ((s + 1) % k, k + s, k)]
+        g = Graph(k + h, edges)
+        budget = WorkBudget(10**9)
+        inventory = enumerate_unbalanced_cycles(g, budget=budget)
+        assert inventory == helpers.reference_enumeration(g, WorkBudget(10**9))
+        assert budget.used == used
+
+    def test_matches_the_reference_past_the_small_sizes(self):
+        # n = 10, m = 30: the all-cycles walk of the reference pays 284,097 units
+        g = gen_random(10, 0.6, 10, 3, 1)
+        inventory = enumerate_unbalanced_cycles(g)
+        assert inventory == helpers.reference_enumeration(g, WorkBudget(10**6))
+        assert len(inventory) > 0
 
     def test_long_cycle_is_not_bounded_by_recursion(self):
         n = 1200
@@ -103,10 +127,10 @@ class TestEnumeration:
             assert len(enumerate_unbalanced_cycles(gen_random(7, 0.6, 10, 2, seed))) == len(built)
 
 
-def _outcome(enumerate_, g: Graph, limit: int, used: int):
+def _outcome(g: Graph, limit: int, used: int):
     budget = WorkBudget(limit, used)
     try:
-        result = enumerate_(g, budget)
+        result = enumerate_unbalanced_cycles(g, budget)
     except BudgetExceededError as exc:
         result = str(exc)
     return result, budget.used
@@ -118,17 +142,19 @@ def _outcome(enumerate_, g: Graph, limit: int, used: int):
 @example(Graph(6, [(1, 2, Fraction(1, 2)), (2, 4, Fraction(1, 3)), (1, 4, 1), (3, 5, 2)]))
 @example(Graph(4, [(0, 1, 1), (1, 2, 1), (0, 2, 2), (2, 3, 1), (0, 3, 3)]))  # tight cycles
 def test_enumerator_matches_its_reference(g):
-    budget, reference = WorkBudget(10**9), WorkBudget(10**9)
+    budget = WorkBudget(10**9)
     inventory = enumerate_unbalanced_cycles(g, budget=budget)
-    assert inventory == helpers.reference_enumeration(g, reference)
-    assert budget.used == reference.used
+    assert inventory == helpers.reference_enumeration(g, WorkBudget(10**9))
     total = budget.used
     # at and around the unit where the budget runs out, from a fresh budget
     # and from one a previous search has partly used
     for limit in range(max(total - 3, 0), total + 2):
-        for used in (0, 7):
-            assert (_outcome(enumerate_unbalanced_cycles, g, limit + used, used)
-                    == _outcome(helpers.reference_enumeration, g, limit + used, used))
+        for prior in (0, 7):
+            if limit < total:
+                expected = (f"work budget of {limit + prior} exhausted", limit + prior + 1)
+            else:
+                expected = (inventory, prior + total)
+            assert _outcome(g, limit + prior, prior) == expected
 
 
 class TestBruteCount:
